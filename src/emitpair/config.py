@@ -13,7 +13,7 @@ Grammar (all keys optional unless noted; unknown keys are rejected):
 
     [sensors]
     linewidth = 1.0              # > 0
-    epsilon = 1e-4               # > 0
+    epsilon = 1e-4               # > 0; sensor spectra take the epsilon -> 0 limit
 
     [task]
     kind = spectrum              # spectrum | g2map | g2tau | csi | bell | dressed
@@ -40,7 +40,7 @@ Grammar (all keys optional unless noted; unknown keys are rejected):
     format = csv                 # csv | json
 
     [run]
-    workers = 1                  # 0 = one per CPU
+    workers = 1                  # 0 = one per available CPU
     checkpoint_every = 500
 
 Frequency tokens are either plain floats or signed dressed-gap names

@@ -1,10 +1,11 @@
 """Physical observables: spectra, field correlations, sensor-filtered g2.
 
-Spectra come in two independent flavours that must agree: a Fourier transform
-of the first-order field correlation (elastic plateau subtracted and reported
-separately) and a scan of the steady population of a single weakly coupled
-sensor, which yields the same spectrum filtered by a Lorentzian of half-width
-``linewidth / 2``.
+Spectra come in two flavours, both closed forms of the field correlation on
+the atoms-only generator: its Fourier transform (elastic plateau subtracted
+and reported separately) and the steady population of a single weakly coupled
+sensor scanned over frequency, which is the same spectrum filtered by a
+Lorentzian of half-width ``linewidth / 2``.  The full sensor solve remains
+their test oracle.
 
 Frequency-resolved photon-photon statistics attach one sensor per detected
 frequency; the zero-delay correlation is a plain steady-state moment of the
@@ -18,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import schur
 
 from .dipole import (
     EmitterPairConfig,
@@ -25,7 +27,6 @@ from .dipole import (
     effective_coefficients,
 )
 from .liouville import (
-    DensityMatrix,
     Propagator,
     SensorSpec,
     build_assembly,
@@ -78,8 +79,9 @@ class SpectrumResult:
     Fourier method the delta line it represents is excluded from ``values``,
     for the sensor scan it appears filtered into a Lorentzian at zero.
 
-    ``narrow_line``, when present, is ``(weight, center, hwhm)`` of a
-    subradiant line far narrower than any usable grid spacing.  Its pointwise
+    ``narrow_line``, when present, is ``(weight, center, hwhm)`` of the
+    slowest mode of the field correlation, a subradiant line narrower than the
+    grid spacing (Fourier method only).  Its pointwise
     profile is included in ``values`` (same units), but quadrature over the
     grid cannot resolve it; integrals should drop the on-grid profile and add
     ``weight`` analytically.
@@ -125,11 +127,6 @@ def _atoms_only(config):
     return assembly, rho, emission, raising, intensity
 
 
-def _elastic_fraction(rho: DensityMatrix, emission, intensity):
-    amp = expectation(emission, rho.data)
-    return float(abs(amp) ** 2 / intensity)
-
-
 def g1(config: EmitterPairConfig, tau_grid):
     """Normalized first-order field correlation on a nonnegative tau grid."""
     assembly, rho, emission, raising, intensity = _atoms_only(config)
@@ -152,122 +149,98 @@ def default_omega_grid(config: EmitterPairConfig, count=401):
     return np.linspace(-half, half, count)
 
 
-def _fourier_transform(tau, corr, omega_grid):
-    """Two-sided transform 2 Re int_0^T corr(t) exp(-i w t) dt, trapezoid rule."""
-    weights = np.empty_like(tau)
-    weights[0] = weights[-1] = 0.5
-    weights[1:-1] = 1.0
-    dt = tau[1] - tau[0]
-    weighted = corr * weights * dt
-    out = np.empty(omega_grid.size, dtype=float)
-    chunk = 64
-    for start in range(0, omega_grid.size, chunk):
-        block = omega_grid[start : start + chunk, None]
-        phases = np.exp(-1j * block * tau[None, :])
-        out[start : start + chunk] = 2.0 * np.real(phases @ weighted)
-    return out
+class _FieldResolvent:
+    """Transform of the steady-state field correlation on the atoms-only model.
 
-
-def _peel_slow_mode(tau, gtilde, tail_tol):
-    """Identify a single slow exponential mode from the window tail.
-
-    The correlation is an exact sum of exponential modes, so a mode fitted
-    where all faster ones have died holds for every tau.  Returns
-    ``(amplitude, rate)`` of ``a exp(rate tau)`` or None when the tail is not
-    a clean single decaying exponential.
+    With ``x = vec(rho_ss E^dag)`` and the covector ``c`` of ``Tr[E X]``, the
+    correlation is ``<E^dag(0) E(tau)> = c . exp(L tau) x``, a sum of modes
+    ``a_k exp(lambda_k tau)`` of the atomic generator ``L``.  Its one-sided
+    transform ``int_0^inf exp(-z tau) <E^dag(0) E(tau)> dtau`` is
+    ``c . (z - L)^{-1} x = inelastic(z) + plateau / z``: the ``lambda = 0``
+    mode is the elastic plateau ``|<E>|^2``, and the rest is solved with the
+    steady state deflated, ``(z - L + |rho_ss><1|)`` acting on the trace-free
+    ``x - Tr(x) rho_ss``, which stays regular at ``z = 0``.
     """
-    n = tau.size
-    i1, i2 = int(0.80 * (n - 1)), int(0.90 * (n - 1))
-    z1, z2, z3 = gtilde[i1], gtilde[i2], gtilde[-1]
-    if min(abs(z1), abs(z2), abs(z3)) < 1e-2 * tail_tol:
-        return None
-    rate_a = np.log(z2 / z1) / (tau[i2] - tau[i1])
-    rate_b = np.log(z3 / z2) / (tau[-1] - tau[i2])
-    if abs(rate_a - rate_b) > 1e-2 * abs(rate_a):
-        return None
-    rate = 0.5 * (rate_a + rate_b)
-    if rate.real >= 0.0:
-        return None
-    amp = z3 * np.exp(-rate * tau[-1])
-    if abs(amp) > 1e-3:
-        return None  # too much weight to attribute to a residual slow line
-    mid = int(0.85 * (n - 1))
-    if abs(gtilde[mid] - amp * np.exp(rate * tau[mid])) > tail_tol:
-        return None
-    return amp, rate
+
+    def __init__(self, config: EmitterPairConfig):
+        assembly, rho, emission, raising, intensity = _atoms_only(config)
+        if intensity <= 0.0 or config.rabi == 0.0:
+            raise ValueError("zero emitted intensity: spectrum is undefined")
+        rho_vec = rho.data.flatten(order="F")
+        trace = np.eye(rho.dimension).flatten(order="F")  # Tr X = trace . vec(X)
+        x = (rho.data @ raising.to_dense()).flatten(order="F")
+        self.intensity = intensity
+        self.covector = emission.to_dense().flatten(order="C")  # Tr[E X] = c . vec(X)
+        self.plateau = float(np.real((self.covector @ rho_vec) * (trace @ x)))
+        self.source = x - (trace @ x) * rho_vec
+        self.generator = assembly.superoperator.to_dense()
+        self._schur = schur(self.generator - np.outer(rho_vec, trace), output="complex")
+
+    def inelastic(self, z):
+        """``c . (z - L)^{-1} x`` without the elastic pole, for an array ``z``."""
+        tri, basis = self._schur
+        rhs = basis.conj().T @ self.source
+        z = np.asarray(z, dtype=complex)
+        y = np.empty((rhs.size, z.size), dtype=complex)
+        for i in range(rhs.size - 1, -1, -1):  # back substitution in (z - tri)
+            y[i] = (rhs[i] + tri[i, i + 1 :] @ y[i + 1 :]) / (z - tri[i, i])
+        return (self.covector @ basis) @ y
+
+    def narrow_line(self, omega_grid):
+        """``(weight, center, hwhm)`` of the slowest non-elastic mode, if the
+        grid spacing cannot resolve it; weight per unit intensity."""
+        if omega_grid.size < 2:
+            return None
+        spacing = np.ptp(omega_grid) / (omega_grid.size - 1)
+        rates, modes = np.linalg.eig(self.generator)
+        slow_rates = -rates.real
+        slow_rates[np.argmin(np.abs(rates))] = np.inf  # the elastic mode
+        slow = rates[np.argmin(slow_rates)]
+        if -slow.real >= spacing:
+            return None
+        # a degenerate line collects the amplitude of every copy of its mode
+        copies = np.abs(rates - slow) <= 1e-9 * np.max(np.abs(rates))
+        amplitudes = (self.covector @ modes) * np.linalg.solve(modes, self.source)
+        weight = float(np.sum(amplitudes[copies]).real) / self.intensity
+        return weight, float(-slow.imag), float(-slow.real)
+
+
+def _peak_normalized(values, narrow_line=None):
+    peak = float(np.max(values))
+    if peak <= 0.0:
+        return values, narrow_line
+    if narrow_line is not None:
+        narrow_line = (narrow_line[0] / peak, narrow_line[1], narrow_line[2])
+    return values / peak, narrow_line
 
 
 def spectrum_fourier(
     config: EmitterPairConfig,
-    tau_max: float = 60.0,
-    n_tau: int = 24001,
     omega_grid=None,
     normalize: bool = True,
-    tail_tol: float = 1e-6,
-    max_extensions: int = 3,
 ) -> SpectrumResult:
-    """Inelastic spectrum from the transform of the field correlation.
+    """Inelastic spectrum ``2 Re int_0^inf g1~(tau) exp(i w tau) dtau``.
 
-    The elastic plateau ``|<emission>|^2 / intensity`` is subtracted before
-    transforming and reported as ``elastic_weight``.  The remaining
-    correlation must settle within ``tail_tol`` at ``tau_max``.  A subradiant
-    pair carries one slow mode that cannot settle in any practical window;
-    when the tail is a clean single decaying exponential it is peeled off and
-    transformed in closed form (an ultranarrow Lorentzian line), and the
-    settling requirement applies to the remainder.  Otherwise the window is
-    doubled up to ``max_extensions`` times before the spectrum is refused.
-    Hermitian symmetry of the correlation supplies the negative-tau half of
-    the transform.
+    ``g1~`` is the normalized field correlation with its elastic plateau
+    ``|<E>|^2 / intensity`` subtracted; the plateau is reported as
+    ``elastic_weight``.  The transform is evaluated in closed form from the
+    atomic generator, so every mode, including an ultranarrow subradiant
+    line, is exact on any grid.  The slowest mode is reported as
+    ``narrow_line`` when its half-width is below the grid spacing.  Positive
+    ``w`` lies above the laser, as for the sensor scan.
     """
-    assembly, rho, emission, raising, intensity = _atoms_only(config)
-    if intensity <= 0.0 or config.rabi == 0.0:
-        raise ValueError("zero emitted intensity: spectrum is undefined")
-    elastic = _elastic_fraction(rho, emission, intensity)
+    field = _FieldResolvent(config)
     if omega_grid is None:
         omega_grid = default_omega_grid(config)
     omega_grid = np.asarray(omega_grid, dtype=float)
-
-    span, count = float(tau_max), int(n_tau)
-    slow = None
-    for attempt in range(max_extensions + 1):
-        tau = np.linspace(0.0, span, count)
-        corr = two_time_correlator(
-            assembly.superoperator, [raising], [], emission, tau, rho_ss=rho
-        )
-        gtilde = np.asarray(corr) / intensity - elastic
-        if abs(gtilde[-1]) < tail_tol:
-            break
-        slow = _peel_slow_mode(tau, gtilde, tail_tol)
-        if slow is not None:
-            break
-        if attempt == max_extensions:
-            raise RuntimeError(
-                f"field correlation has not settled at tau = {span}: "
-                f"|g1 - plateau| = {abs(gtilde[-1]):.3e} and the tail is not "
-                "a single decaying mode"
-            )
-        span *= 2.0
-        count = 2 * count - 1
-
-    narrow_line = None
-    if slow is not None:
-        amp, rate = slow
-        gtilde = gtilde - amp * np.exp(rate * tau)
-        narrow_line = (float(amp.real), float(-rate.imag), float(-rate.real))
-    values = _fourier_transform(tau, gtilde, omega_grid)
-    if slow is not None:
-        # closed-form two-sided transform of the peeled mode
-        values = values + 2.0 * np.real(amp / (1j * omega_grid - rate))
+    values = 2.0 * np.real(field.inelastic(-1j * omega_grid)) / field.intensity
+    narrow_line = field.narrow_line(omega_grid)
     if normalize:
-        peak = float(np.max(values))
-        if peak > 0.0:
-            values = values / peak
-            if narrow_line is not None:
-                narrow_line = (narrow_line[0] / peak, narrow_line[1], narrow_line[2])
+        values, narrow_line = _peak_normalized(values, narrow_line)
     return SpectrumResult(
         omega_grid=omega_grid,
         values=values,
-        elastic_weight=elastic,
+        elastic_weight=field.plateau / field.intensity,
         method="g1-fourier",
         narrow_line=narrow_line,
     )
@@ -277,37 +250,32 @@ def spectrum_sensor_scan(
     config: EmitterPairConfig,
     omega_grid=None,
     sensor_linewidth: float = 1.0,
-    epsilon: float = 1e-4,
     normalize: bool = True,
 ) -> SpectrumResult:
-    """Spectrum from the steady population of a scanned sensor.
+    """Steady population of a weakly coupled sensor scanned over the grid.
 
-    One sensor is attached per grid point; its population divided by
-    ``epsilon**2`` traces the emission spectrum filtered by a Lorentzian of
-    half-width ``sensor_linewidth / 2`` (the elastic line shows up as such a
-    Lorentzian at zero).
+    In the limit of vanishing coupling ``epsilon`` the population divided by
+    ``epsilon**2`` is the physical spectrum of Eberly and Wodkiewicz
+    (J. Opt. Soc. Am. 67, 1252, 1977),
+    ``(2 / linewidth) Re int_0^inf <E^dag(0) E(tau)> exp((i w - linewidth/2) tau) dtau``:
+    the emission filtered by a Lorentzian of half-width ``linewidth / 2``,
+    elastic line included.  It is evaluated in closed form, with no sensor in
+    the model.
     """
+    if sensor_linewidth <= 0.0:
+        raise ValueError("sensor linewidth must be positive")
+    field = _FieldResolvent(config)
     if omega_grid is None:
         omega_grid = default_omega_grid(config)
     omega_grid = np.asarray(omega_grid, dtype=float)
-    values = np.empty(omega_grid.size, dtype=float)
-    for i, omega in enumerate(omega_grid):
-        spec = SensorSpec(omega_s=float(omega), linewidth=sensor_linewidth, epsilon=epsilon)
-        assembly = build_assembly(config, (spec,))
-        rho = steady_state(assembly.superoperator)
-        site = assembly.layout.sensor_sites[0]
-        pop = expectation(embed(number_op(), site, assembly.layout), rho.data)
-        values[i] = float(np.real(pop)) / epsilon**2
-    _, rho0, emission, _raising, intensity = _atoms_only(config)
-    elastic = _elastic_fraction(rho0, emission, intensity)
+    z = 0.5 * sensor_linewidth - 1j * omega_grid
+    values = (2.0 / sensor_linewidth) * np.real(field.inelastic(z) + field.plateau / z)
     if normalize:
-        peak = float(np.max(values))
-        if peak > 0.0:
-            values = values / peak
+        values, _ = _peak_normalized(values)
     return SpectrumResult(
         omega_grid=omega_grid,
         values=values,
-        elastic_weight=elastic,
+        elastic_weight=field.plateau / field.intensity,
         method="sensor-scan",
     )
 

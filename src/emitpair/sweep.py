@@ -16,7 +16,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
-from multiprocessing import Pool, cpu_count
+from multiprocessing import Pool
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .observables import (
     sensor_g2,
     sensor_g2_tau,
     spectrum_fourier,
+    spectrum_sensor_scan,
 )
 
 __all__ = [
@@ -68,10 +69,18 @@ class ResultTable:
 
 
 def effective_workers(task, requested):
-    """Resolve the worker count; four-sensor solves are memory-capped."""
-    workers = cpu_count() if requested == 0 else requested
+    """Resolve the worker count; four-sensor solves are memory-capped.
+
+    ``requested = 0`` means one worker per CPU this process may run on (its
+    affinity set, where the platform has one).
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = cpus if requested == 0 else requested
     if task == "bell":
-        workers = min(workers, max(1, cpu_count() // 2))
+        workers = min(workers, max(1, cpus // 2))
     return max(1, workers)
 
 
@@ -132,26 +141,17 @@ def _eval_point(payload):
                 ),
                 STATUS_OK,
             )
-        if task == "spectrum-sensor-point":
-            (omega,) = params
-            from .liouville import SensorSpec, build_assembly, steady_state
-            from .operators import embed, expectation, number_op
-
-            spec = SensorSpec(omega_s=omega, linewidth=linewidth, epsilon=epsilon)
-            assembly = build_assembly(emitter, (spec,))
-            rho = steady_state(assembly.superoperator)
-            site = assembly.layout.sensor_sites[0]
-            pop = expectation(embed(number_op(), site, assembly.layout), rho.data)
-            return index, (omega, float(np.real(pop)) / epsilon**2), STATUS_OK
         raise ValueError(f"unknown point task {task!r}")
     except UndefinedCorrelationError:
-        width = {"g2map": 3, "csi": 6, "bell": 8, "spectrum-sensor-point": 2}[task]
-        row = list(params) + [math.nan] * (width - len(params))
-        return index, tuple(row), "undefined_correlation"
+        return index, _failure_row(task, params), "undefined_correlation"
     except Exception as exc:  # isolate the point, record the reason
-        width = {"g2map": 3, "csi": 6, "bell": 8, "spectrum-sensor-point": 2}[task]
-        row = list(params) + [math.nan] * (width - len(params))
-        return index, tuple(row), f"error:{type(exc).__name__}"
+        return index, _failure_row(task, params), f"error:{type(exc).__name__}"
+
+
+def _failure_row(task, params):
+    """The point's parameters padded with NaN to its value columns."""
+    width = len(_POINT_COLUMNS[task]) - 1  # every column but status
+    return tuple(params) + (math.nan,) * (width - len(params))
 
 
 _POINT_COLUMNS = {
@@ -168,7 +168,6 @@ _POINT_COLUMNS = {
         "b1122_im",
         "status",
     ],
-    "spectrum-sensor-point": ["omega", "value", "status"],
 }
 
 
@@ -186,8 +185,6 @@ def _point_list(cfg: RunConfig):
             w2s = axis_points(cfg.omega2_axis)
             pairs = [(float(a), float(b)) for a in w1s for b in w2s]
         return cfg.task, pairs
-    if cfg.task == "spectrum" and cfg.method == "sensor":
-        return "spectrum-sensor-point", [(float(w),) for w in axis_points(cfg.omega_axis)]
     raise ValueError(f"task {cfg.task!r} is not a per-point sweep")
 
 
@@ -214,8 +211,18 @@ def _dressed_table_rows(cfg: RunConfig):
     return columns, [row]
 
 
-def _spectrum_fourier_rows(cfg: RunConfig):
+def _spectrum_rows(cfg: RunConfig):
     grid = axis_points(cfg.omega_axis)
+    if cfg.method == "sensor":
+        result = spectrum_sensor_scan(
+            cfg.emitter,
+            omega_grid=grid,
+            sensor_linewidth=cfg.sensor_linewidth,
+            normalize=False,
+        )
+        columns = ["omega", "value", "status"]
+        rows = [(float(w), float(v), STATUS_OK) for w, v in zip(result.omega_grid, result.values)]
+        return columns, rows, {}
     result = spectrum_fourier(cfg.emitter, omega_grid=grid)
     columns = ["omega", "value"]
     rows = [(float(w), float(v)) for w, v in zip(result.omega_grid, result.values)]
@@ -315,8 +322,8 @@ def run_sweep(
     if cfg.task == "g2tau":
         columns, rows = _g2tau_rows(cfg)
         return _finish(header, columns, rows, start, timestamp)
-    if cfg.task == "spectrum" and cfg.method == "fourier":
-        columns, rows, extra = _spectrum_fourier_rows(cfg)
+    if cfg.task == "spectrum":
+        columns, rows, extra = _spectrum_rows(cfg)
         header.update(extra)
         return _finish(header, columns, rows, start, timestamp)
 

@@ -1,10 +1,19 @@
 """Spectra (two methods), field correlations and sensor-filtered statistics."""
 
+from importlib import resources
+
 import numpy as np
 import pytest
 
 import emitpair as ep
-from emitpair.liouville import build_assembly, steady_state
+from emitpair.config import axis_points, load_config
+from emitpair.liouville import (
+    SensorSpec,
+    build_assembly,
+    emission_operator,
+    steady_state,
+    two_time_correlator,
+)
 from emitpair.observables import (
     UndefinedCorrelationError,
     classify_frequency_pair,
@@ -13,7 +22,7 @@ from emitpair.observables import (
     field_operator,
     find_local_maxima,
 )
-from emitpair.operators import HilbertLayout, adjoint, expectation
+from emitpair.operators import HilbertLayout, adjoint, embed, expectation, number_op
 
 
 def lorentzian(x, hwhm):
@@ -180,6 +189,88 @@ def test_sensor_scan_far_tail(pair_config_module):
     )
     assert scan.values[1] < 2e-6 * scan.values[0]
     assert scan.values[2] < 1e-6 * scan.values[0]
+
+
+def test_sensor_scan_matches_full_sensor_solve(pair_triplet):
+    # oracle: one sensor in the model, population / epsilon^2 at epsilon = 1e-4;
+    # the laser along the pair axis makes the spectrum asymmetric, so +-d12
+    # pin the sign of the frequency axis
+    cfg = ep.EmitterPairConfig(
+        kr12=0.05,
+        rabi=30.0,
+        laser_direction=(1.0, 0.0, 0.0),
+        detection_direction=(0.0, 0.6, 0.8),
+    )
+    grid = np.array([0.0, pair_triplet.d12, -pair_triplet.d12, 7.0, 1e3])
+    scan = ep.spectrum_sensor_scan(cfg, omega_grid=grid, sensor_linewidth=1.0, normalize=False)
+    epsilon = 1e-4
+    oracle = []
+    for omega in grid:
+        spec = SensorSpec(omega_s=float(omega), linewidth=1.0, epsilon=epsilon)
+        assembly = build_assembly(cfg, (spec,))
+        rho = steady_state(assembly.superoperator)
+        site = assembly.layout.sensor_sites[0]
+        pop = expectation(embed(number_op(), site, assembly.layout), rho.data)
+        oracle.append(pop.real / epsilon**2)
+    np.testing.assert_allclose(scan.values, oracle, rtol=1e-6)
+
+
+def test_fourier_matches_correlator_quadrature(single_config):
+    omegas = np.array([-30.0, -12.0, 0.0, 5.0, 30.0])
+    spec = ep.spectrum_fourier(single_config, omega_grid=omegas, normalize=False)
+    assembly = build_assembly(single_config, ())
+    rho = steady_state(assembly.superoperator)
+    em = emission_operator(single_config, assembly.layout)
+    intensity = expectation(adjoint(em) @ em, rho.data).real
+    # every mode has decayed below 1e-8 by tau = 40
+    tau = np.linspace(0.0, 40.0, 8001)
+    corr = two_time_correlator(
+        assembly.superoperator, [adjoint(em)], [], em, tau, rho_ss=rho
+    )
+    gtilde = np.asarray(corr) / intensity - spec.elastic_weight
+    oracle = [2.0 * np.trapezoid(gtilde * np.exp(1j * w * tau), tau).real for w in omegas]
+    np.testing.assert_allclose(spec.values, oracle, rtol=1e-4)
+
+
+def test_fourier_and_sensor_scan_share_the_frequency_axis():
+    # an asymmetric spectrum (laser along the pair axis): the sensor scan must
+    # equal the Fourier spectrum filtered by its Lorentzian, not its mirror
+    cfg = ep.EmitterPairConfig(
+        kr12=0.5, rabi=10.0, laser_direction=(1.0, 0.0, 0.0),
+        detection_direction=(0.0, 0.6, 0.8),
+    )
+    tri = ep.dressed_triplet(cfg, ep.effective_coefficients(cfg))
+    grid = np.array([0.0, tri.d12, -tri.d12, tri.d23, -tri.d23])
+    wide = np.linspace(-200.0, 200.0, 8001)
+    raw = ep.spectrum_fourier(cfg, omega_grid=wide, normalize=False)
+    assert raw.narrow_line is None
+    filtered = np.array(
+        [np.trapezoid(raw.values * lorentzian(om - wide, 0.5), wide) for om in grid]
+    ) + 2.0 * np.pi * raw.elastic_weight * lorentzian(grid, 0.5)
+    scan = ep.spectrum_sensor_scan(cfg, omega_grid=grid, sensor_linewidth=1.0)
+    np.testing.assert_allclose(filtered / filtered[0], scan.values / scan.values[0], rtol=1e-6)
+    assert abs(scan.values[1] / scan.values[2] - 1.0) > 1e-3
+
+
+def test_no_narrow_line_for_independent_atoms():
+    preset = resources.files("emitpair").joinpath("presets", "independent-atoms.cfg")
+    cfg = load_config(preset.read_text())
+    spec = ep.spectrum_fourier(cfg.emitter, omega_grid=axis_points(cfg.omega_axis))
+    assert spec.narrow_line is None
+
+
+def test_degenerate_narrow_line_collects_every_copy(single_config):
+    # on a grid coarser than the 0.5 half-width, two independent atoms carry
+    # that mode twice (once per atom); in phase, the per-intensity weight is
+    # the single atom's divided by (1 + its elastic fraction)
+    coarse = np.linspace(-150.0, 150.0, 201)
+    single = ep.spectrum_fourier(single_config, omega_grid=coarse, normalize=False)
+    forced = ep.EmitterPairConfig(kr12=0.05, rabi=30.0, force_independent=True)
+    pair = ep.spectrum_fourier(forced, omega_grid=coarse, normalize=False)
+    assert single.narrow_line[2] == pytest.approx(0.5)
+    assert pair.narrow_line[2] == pytest.approx(0.5)
+    expected = single.narrow_line[0] / (1.0 + single.elastic_weight)
+    assert pair.narrow_line[0] == pytest.approx(expected, rel=1e-9)
 
 
 def test_spectrum_refuses_undriven():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -79,6 +80,17 @@ def test_spectrum_sensor_task_matches_library():
     )
     values = [row[1] for row in table.rows]
     np.testing.assert_allclose(values, scan.values, rtol=1e-12)
+
+
+def test_sensor_spectrum_refuses_undriven():
+    cfg = load_config(
+        "[emitter]\nrabi = 0\n\n[task]\nkind = spectrum\nmethod = sensor\n\n"
+        "[grid]\nomega_min = -5\nomega_max = 5\ncount = 3\n"
+    )
+    with pytest.raises(ValueError, match="zero emitted intensity"):
+        ep.spectrum_sensor_scan(cfg.emitter, omega_grid=np.array([-5.0, 0.0, 5.0]))
+    with pytest.raises(ValueError, match="zero emitted intensity"):
+        run_sweep(cfg, timestamp=False)
 
 
 def test_g2tau_task_columns():
@@ -182,12 +194,21 @@ def test_resume_rejects_other_config(tmp_path):
 
 
 def test_effective_workers_bell_cap():
-    import multiprocessing
-
-    cores = multiprocessing.cpu_count()
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     assert effective_workers("g2map", 0) == cores
     assert effective_workers("bell", 0) <= max(1, cores // 2)
     assert effective_workers("g2map", 3) == 3
+
+
+def test_effective_workers_follow_cpu_affinity(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert effective_workers("g2map", 0) == 1
+    assert effective_workers("bell", 0) == 1
+    assert effective_workers("g2map", 3) == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert effective_workers("g2map", 0) == 64
+    assert effective_workers("bell", 0) == 32
 
 
 # ---------------------------------------------------------------------------
