@@ -47,7 +47,6 @@ from .observables import (
     CorrelationPoint,
     SpectrumResult,
     UndefinedCorrelationError,
-    field_operator,
     find_local_maxima,
     g1,
     g2_unfiltered,
@@ -59,11 +58,8 @@ from .observables import (
 from .operators import (
     HilbertLayout,
     SparseComplexMatrix,
-    adjoint,
     embed,
     expectation,
-    kron,
-    multiply,
 )
 
 __all__ = [
@@ -98,7 +94,6 @@ __all__ = [
     "CorrelationPoint",
     "SpectrumResult",
     "UndefinedCorrelationError",
-    "field_operator",
     "find_local_maxima",
     "g1",
     "g2_unfiltered",
@@ -108,9 +103,6 @@ __all__ = [
     "spectrum_sensor_scan",
     "HilbertLayout",
     "SparseComplexMatrix",
-    "adjoint",
     "embed",
     "expectation",
-    "kron",
-    "multiply",
 ]

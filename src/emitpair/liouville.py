@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.integrate import ode
 from scipy.linalg import lu_factor, lu_solve
 
 from .dipole import EmitterPairConfig, effective_coefficients
@@ -37,8 +36,6 @@ from .operators import (
     HilbertLayout,
     SparseComplexMatrix,
     embed,
-    expectation,
-    kron,
     sigma_minus,
     sigma_plus,
     number_op,
@@ -93,16 +90,9 @@ class SensorSpec:
 
 @dataclass(frozen=True)
 class ModelAssembly:
-    """Assembled model: layout, Hamiltonian, decay channels, superoperator.
-
-    ``collapse_channels`` is a list of ``(rate, jump_operator)`` pairs; rates
-    are plain decay rates in the standard dissipator convention
-    ``rate * (J rho J^dag - {J^dag J, rho}/2)``.
-    """
+    """Assembled model: the site layout and the Lindblad superoperator."""
 
     layout: HilbertLayout
-    hamiltonian: SparseComplexMatrix
-    collapse_channels: tuple
     superoperator: SparseComplexMatrix
 
 
@@ -152,7 +142,7 @@ def emission_operator(config: EmitterPairConfig, layout: HilbertLayout) -> Spars
     Sum of atomic lowering operators weighted by ``exp(-i k n.r_j)``; photon
     absorption at the detector.  Its adjoint is the corresponding raising
     combination; the normally ordered intensity is
-    ``expectation(adjoint(E_em) @ E_em, rho)``.
+    ``expectation(E_em.adjoint() @ E_em, rho)``.
     """
     phases = config.detection_phases()
     out = None
@@ -234,20 +224,6 @@ def build_collapse_channels(config: EmitterPairConfig, sensors):
     return channels
 
 
-def symmetric_mode_channels(config: EmitterPairConfig, sensors):
-    """Reduced comparison model: keep only the symmetric collective channel.
-
-    Drops the subradiant antisymmetric channel while keeping the symmetric one
-    at rate ``gamma * (1 + gamma12)``, in the same dissipator convention as
-    :func:`build_collapse_channels`.  Intended for side-by-side comparisons
-    only; the full model is the default everywhere.
-    """
-    full = build_collapse_channels(config, sensors)
-    if config.atom_count == 1:
-        return full
-    return [full[0]] + full[2:]
-
-
 def vectorize(hamiltonian: SparseComplexMatrix, channels) -> SparseComplexMatrix:
     """Column-stacking superoperator for ``i [rho, H]`` plus the dissipators."""
     dim = hamiltonian.rows
@@ -268,18 +244,13 @@ def vectorize(hamiltonian: SparseComplexMatrix, channels) -> SparseComplexMatrix
 
 
 def build_assembly(config: EmitterPairConfig, sensors=()) -> ModelAssembly:
-    """Assemble layout, Hamiltonian, channels and superoperator in one call."""
+    """Assemble the layout and the superoperator of atoms plus ``sensors``."""
     sensors = tuple(sensors)
-    layout = HilbertLayout.for_system(config.atom_count, len(sensors))
-    hamiltonian = build_hamiltonian(config, sensors)
-    channels = tuple(build_collapse_channels(config, sensors))
-    superop = vectorize(hamiltonian, channels)
-    return ModelAssembly(
-        layout=layout,
-        hamiltonian=hamiltonian,
-        collapse_channels=channels,
-        superoperator=superop,
+    superop = vectorize(
+        build_hamiltonian(config, sensors), build_collapse_channels(config, sensors)
     )
+    layout = HilbertLayout.for_system(config.atom_count, len(sensors))
+    return ModelAssembly(layout=layout, superoperator=superop)
 
 
 def _trace_constrained_system(gen: sp.csr_matrix):
@@ -356,10 +327,10 @@ class Propagator:
     integration if the decomposition is unreliable.
     """
 
-    def __init__(self, superoperator: SparseComplexMatrix, dense_limit=DENSE_PROPAGATION_LIMIT):
+    def __init__(self, superoperator: SparseComplexMatrix):
         self._gen = superoperator.csr
         n = self._gen.shape[0]
-        self._dense = n <= dense_limit
+        self._dense = n <= DENSE_PROPAGATION_LIMIT
         if self._dense:
             dense = self._gen.toarray()
             w, v = np.linalg.eig(dense)
@@ -389,6 +360,10 @@ class Propagator:
         return self._propagate_stiff(vec0, taus)
 
     def _propagate_stiff(self, vec0, taus):
+        # imported here: scipy.integrate adds about 20 MB resident to the
+        # process, and only generators that fail the eigenbasis probe need it
+        from scipy.integrate import ode
+
         gen = self._gen
         solver = ode(lambda _t, y: gen @ y)
         solver.set_integrator(
@@ -436,8 +411,9 @@ def two_time_correlator(
 
     ``A`` is the ordered product of ``left_ops``, ``C`` of ``right_ops`` and
     ``B = mid_op``; the quantum regression theorem gives
-    ``Tr[B exp(L tau)(C rho_ss A)]``.  The steady state is solved on demand
-    when not supplied.
+    ``Tr[B exp(L tau)(C rho_ss A)]``, contracted for every delay at once as
+    ``vec_C(B) . vec_F(X)``.  The steady state is solved on demand when not
+    supplied.
     """
     if rho_ss is None:
         rho_ss = steady_state(superoperator)
@@ -447,4 +423,4 @@ def two_time_correlator(
     seed = c_op @ np.asarray(rho_ss.data) @ a_op
     prop = Propagator(superoperator)
     mats = prop.propagate_vec(_vec(seed), np.asarray(tau_grid, dtype=float))
-    return [expectation(mid_op, _unvec(m)) for m in mats]
+    return (mats @ mid_op.to_dense().flatten(order="C")).tolist()

@@ -19,12 +19,8 @@ import numpy as np
 
 from .dipole import DressedTriplet, EmitterPairConfig
 from .liouville import SensorSpec, build_assembly, steady_state
-from .observables import (
-    POPULATION_FLOOR,
-    UndefinedCorrelationError,
-    sensor_g2,
-)
-from .operators import adjoint, embed, expectation, number_op, sigma_minus
+from .observables import UndefinedCorrelationError, _sensor_readout, sensor_g2
+from .operators import expectation
 
 __all__ = [
     "CsiPoint",
@@ -124,32 +120,23 @@ def bell_quantifier(
     exactly on the symmetric antidiagonal ``omega2 = -omega1`` where the
     quantifier is meaningful, and keeps the stored terms at order unity.
     """
+    omegas = (omega1, omega1, omega2, omega2)
     sensors = tuple(
         SensorSpec(omega_s=float(w), linewidth=sensor_linewidth, epsilon=epsilon)
-        for w in (omega1, omega1, omega2, omega2)
+        for w in omegas
     )
     assembly = build_assembly(config, sensors)
     rho = steady_state(assembly.superoperator)
-    layout = assembly.layout
-    sites = layout.sensor_sites
-    lowers = [embed(sigma_minus(), s, layout) for s in sites]
-    numbers = [embed(number_op(), s, layout) for s in sites]
-    pops = [float(np.real(expectation(n, rho.data))) for n in numbers]
-    for pop, label in zip(pops, ("a1", "a2", "b1", "b2")):
-        if pop < POPULATION_FLOOR:
-            raise UndefinedCorrelationError(
-                f"sensor {label} population {pop:.3e} below "
-                f"{POPULATION_FLOOR:.0e} at ({omega1}, {omega2})"
-            )
-    na1, na2, nb1, nb2 = pops
-    a1, a2, b1, b2 = lowers
+    (a1, a2, b1, b2), numbers, (na1, na2, nb1, nb2) = _sensor_readout(
+        assembly, rho, omegas
+    )
 
     b1111 = expectation(numbers[0] @ numbers[1], rho.data) / (na1 * na2)
     b2222 = expectation(numbers[2] @ numbers[3], rho.data) / (nb1 * nb2)
     b1221 = expectation(numbers[0] @ numbers[2], rho.data) / (na1 * nb1)
     pair_norm = np.sqrt(na1 * na2 * nb1 * nb2)
-    b1122 = expectation(adjoint(a1) @ adjoint(a2) @ b1 @ b2, rho.data) / pair_norm
-    b2211 = expectation(adjoint(b2) @ adjoint(b1) @ a2 @ a1, rho.data) / pair_norm
+    b1122 = expectation(a1.adjoint() @ a2.adjoint() @ b1 @ b2, rho.data) / pair_norm
+    b2211 = expectation(b2.adjoint() @ b1.adjoint() @ a2 @ a1, rho.data) / pair_norm
 
     numerator = b1111 + b2222 - 4.0 * b1221 - b1122 - b2211
     denominator = b1111 + b2222 + 2.0 * b1221

@@ -34,22 +34,13 @@ from .liouville import (
     steady_state,
     two_time_correlator,
 )
-from .operators import (
-    HilbertLayout,
-    SparseComplexMatrix,
-    adjoint,
-    embed,
-    expectation,
-    number_op,
-    sigma_minus,
-)
+from .operators import embed, expectation, number_op, sigma_minus
 
 __all__ = [
     "SpectrumResult",
     "CorrelationPoint",
     "UndefinedCorrelationError",
     "POPULATION_FLOOR",
-    "field_operator",
     "g1",
     "spectrum_fourier",
     "spectrum_sensor_scan",
@@ -59,7 +50,6 @@ __all__ = [
     "default_spectrum_window",
     "default_omega_grid",
     "find_local_maxima",
-    "classify_frequency_pair",
 ]
 
 # Sensor populations below this are treated as no detected signal: the
@@ -109,20 +99,11 @@ class CorrelationPoint:
     sensor_linewidth: float
 
 
-def field_operator(config: EmitterPairConfig, layout: HilbertLayout) -> SparseComplexMatrix:
-    """Far-field emission operator along the detection direction.
-
-    Built from atomic lowering operators with propagation phases; see the
-    convention note in :mod:`emitpair.liouville`.
-    """
-    return emission_operator(config, layout)
-
-
 def _atoms_only(config):
     assembly = build_assembly(config, ())
     rho = steady_state(assembly.superoperator)
     emission = emission_operator(config, assembly.layout)
-    raising = adjoint(emission)
+    raising = emission.adjoint()
     intensity = float(np.real(expectation(raising @ emission, rho.data)))
     return assembly, rho, emission, raising, intensity
 
@@ -296,21 +277,24 @@ def g2_unfiltered(config: EmitterPairConfig, tau_grid):
     return [float(np.real(v)) / intensity**2 for v in numerator]
 
 
-def _sensor_populations(assembly, rho):
-    pops = []
-    for site in assembly.layout.sensor_sites:
-        pop = expectation(embed(number_op(), site, assembly.layout), rho.data)
-        pops.append(float(np.real(pop)))
-    return pops
+def _sensor_readout(assembly, rho, omegas):
+    """Lowering operators, number operators and populations of the sensors.
 
-
-def _require_populations(pops, omegas):
+    ``omegas`` are the sensor frequencies, in site order, for the message of
+    the :class:`UndefinedCorrelationError` raised when a population is below
+    ``POPULATION_FLOOR``.
+    """
+    layout = assembly.layout
+    lowers = [embed(sigma_minus(), site, layout) for site in layout.sensor_sites]
+    numbers = [embed(number_op(), site, layout) for site in layout.sensor_sites]
+    pops = [float(np.real(expectation(n, rho.data))) for n in numbers]
     for pop, omega in zip(pops, omegas):
         if pop < POPULATION_FLOOR:
             raise UndefinedCorrelationError(
                 f"sensor population {pop:.3e} at omega = {omega} is below "
                 f"{POPULATION_FLOOR:.0e}; correlation undefined"
             )
+    return lowers, numbers, pops
 
 
 def sensor_g2(
@@ -327,20 +311,14 @@ def sensor_g2(
     bunching of the diagonal), and a single steady state yields
     ``<n1 n2> / (<n1><n2>)``.
     """
-    sensors = (
-        SensorSpec(omega_s=float(omega1), linewidth=sensor_linewidth, epsilon=epsilon),
-        SensorSpec(omega_s=float(omega2), linewidth=sensor_linewidth, epsilon=epsilon),
+    sensors = tuple(
+        SensorSpec(omega_s=float(w), linewidth=sensor_linewidth, epsilon=epsilon)
+        for w in (omega1, omega2)
     )
     assembly = build_assembly(config, sensors)
     rho = steady_state(assembly.superoperator)
-    n1, n2 = _sensor_populations(assembly, rho)
-    _require_populations((n1, n2), (omega1, omega2))
-    s1, s2 = assembly.layout.sensor_sites
-    joint = expectation(
-        embed(number_op(), s1, assembly.layout) @ embed(number_op(), s2, assembly.layout),
-        rho.data,
-    )
-    value = float(np.real(joint)) / (n1 * n2)
+    _, (num1, num2), (n1, n2) = _sensor_readout(assembly, rho, (omega1, omega2))
+    value = float(np.real(expectation(num1 @ num2, rho.data))) / (n1 * n2)
     return CorrelationPoint(
         omega1=float(omega1),
         omega2=float(omega2),
@@ -366,19 +344,15 @@ def sensor_g2_tau(
     same assembled model.
     """
     taus = np.asarray(tau_grid, dtype=float)
-    sensors = (
-        SensorSpec(omega_s=float(omega1), linewidth=sensor_linewidth, epsilon=epsilon),
-        SensorSpec(omega_s=float(omega2), linewidth=sensor_linewidth, epsilon=epsilon),
+    sensors = tuple(
+        SensorSpec(omega_s=float(w), linewidth=sensor_linewidth, epsilon=epsilon)
+        for w in (omega1, omega2)
     )
     assembly = build_assembly(config, sensors)
     rho = steady_state(assembly.superoperator)
-    n1, n2 = _sensor_populations(assembly, rho)
-    _require_populations((n1, n2), (omega1, omega2))
-    s1, s2 = assembly.layout.sensor_sites
-    lower1 = embed(sigma_minus(), s1, assembly.layout)
-    lower2 = embed(sigma_minus(), s2, assembly.layout)
-    num1 = embed(number_op(), s1, assembly.layout)
-    num2 = embed(number_op(), s2, assembly.layout)
+    (lower1, lower2), (num1, num2), (n1, n2) = _sensor_readout(
+        assembly, rho, (omega1, omega2)
+    )
 
     prop = Propagator(assembly.superoperator)
     norm = n1 * n2
@@ -388,16 +362,12 @@ def sensor_g2_tau(
     def _fill(mask, first_lower, mid_op, delays):
         if not np.any(mask):
             return
-        seed = first_lower @ rho_arr @ adjoint(first_lower)
+        seed = first_lower @ rho_arr @ first_lower.adjoint()
         order = np.argsort(delays[mask], kind="stable")
         sorted_delays = delays[mask][order]
         mats = prop.propagate_vec(seed.flatten(order="F"), sorted_delays)
-        vals = np.array(
-            [
-                float(np.real(expectation(mid_op, m.reshape(seed.shape, order="F"))))
-                for m in mats
-            ]
-        )
+        # Tr[B X] = vec_C(B) . vec_F(X), one product for every delay
+        vals = np.real(mats @ mid_op.to_dense().flatten(order="C"))
         unsorted = np.empty_like(vals)
         unsorted[order] = vals
         results[mask] = unsorted / norm
@@ -427,35 +397,3 @@ def find_local_maxima(omega_grid, values, min_height_frac=1e-3):
         if values[i] > values[i - 1] and values[i] > values[i + 1] and values[i] > floor:
             peaks.append((float(omega_grid[i]), float(values[i])))
     return peaks
-
-
-def classify_frequency_pair(triplet, omega1, omega2, sensor_linewidth, tol=None):
-    """Label a frequency pair by the emission processes it addresses.
-
-    Returns one of ``carrier``, ``sideband-carrier``, ``opposite-sideband``,
-    ``equal-sideband``, ``cross-sideband``, ``virtual`` or ``unresolved``.
-    The sideband split into equal vs cross requires the two inner gaps to
-    differ by more than the filter linewidth; otherwise the distinction is
-    meaningless and ``unresolved`` is returned.
-    """
-    tol = sensor_linewidth if tol is None else tol
-    lines = [0.0] + [s * d for d in triplet.sideband_deltas for s in (1.0, -1.0)]
-
-    def nearest(omega):
-        best = min(lines, key=lambda line: abs(omega - line))
-        return best if abs(omega - best) <= tol else None
-
-    l1, l2 = nearest(omega1), nearest(omega2)
-    if l1 is None or l2 is None:
-        return "virtual"
-    if l1 == 0.0 and l2 == 0.0:
-        return "carrier"
-    if l1 == 0.0 or l2 == 0.0:
-        return "sideband-carrier"
-    if abs(triplet.d12 - triplet.d23) < sensor_linewidth:
-        return "unresolved"
-    if l1 == -l2:
-        return "opposite-sideband"
-    if l1 == l2:
-        return "equal-sideband"
-    return "cross-sideband"

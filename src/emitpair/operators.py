@@ -17,15 +17,11 @@ import scipy.sparse as sp
 __all__ = [
     "SparseComplexMatrix",
     "HilbertLayout",
-    "kron",
     "embed",
-    "adjoint",
-    "multiply",
     "expectation",
     "sigma_minus",
     "sigma_plus",
     "number_op",
-    "identity",
 ]
 
 
@@ -33,9 +29,9 @@ class SparseComplexMatrix:
     """Complex sparse matrix with explicit dimensions and triplet access.
 
     Assembly happens once, in :meth:`from_entries` (duplicate coordinates are
-    summed, entries at or below ``drop_tol`` in magnitude are discarded).  The
-    finished object is immutable; arithmetic returns new instances.  Storage
-    is CSR, double-precision complex throughout.
+    summed, exact zeros discarded).  The finished object is immutable;
+    arithmetic returns new instances.  Storage is CSR, double-precision
+    complex throughout.
     """
 
     __slots__ = ("rows", "cols", "_csr")
@@ -52,12 +48,8 @@ class SparseComplexMatrix:
         self._csr = csr
 
     @classmethod
-    def from_entries(cls, rows, cols, entries, drop_tol=0.0):
-        """Assemble from ``(row, col, value)`` triplets.
-
-        Duplicates are summed; assembled values with ``abs(v) <= drop_tol``
-        are dropped (``drop_tol = 0`` keeps everything nonzero exactly).
-        """
+    def from_entries(cls, rows, cols, entries):
+        """Assemble from ``(row, col, value)`` triplets; duplicates are summed."""
         if entries:
             r, c, v = zip(*entries)
         else:
@@ -65,20 +57,7 @@ class SparseComplexMatrix:
         coo = sp.coo_matrix(
             (np.asarray(v, dtype=np.complex128), (r, c)), shape=(rows, cols)
         )
-        csr = coo.tocsr()
-        csr.sum_duplicates()
-        if drop_tol > 0.0:
-            data = csr.data.copy()
-            data[np.abs(data) <= drop_tol] = 0.0
-            csr = sp.csr_matrix((data, csr.indices, csr.indptr), shape=csr.shape)
-        return cls(csr)
-
-    @classmethod
-    def from_dense(cls, array, drop_tol=0.0):
-        arr = np.asarray(array, dtype=np.complex128)
-        if drop_tol > 0.0:
-            arr = np.where(np.abs(arr) > drop_tol, arr, 0.0)
-        return cls(sp.csr_matrix(arr))
+        return cls(coo.tocsr())
 
     @classmethod
     def identity(cls, n):
@@ -87,15 +66,6 @@ class SparseComplexMatrix:
     @classmethod
     def zeros(cls, rows, cols):
         return cls(sp.csr_matrix((rows, cols), dtype=np.complex128))
-
-    @property
-    def entries(self):
-        """Sorted ``(row, col, value)`` triplets of the stored nonzeros."""
-        coo = self._csr.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        return [
-            (int(coo.row[i]), int(coo.col[i]), complex(coo.data[i])) for i in order
-        ]
 
     @property
     def nnz(self):
@@ -110,16 +80,11 @@ class SparseComplexMatrix:
         return self._csr.toarray()
 
     def kron(self, other: "SparseComplexMatrix") -> "SparseComplexMatrix":
+        """Tensor product; ``self`` carries the most significant index."""
         return SparseComplexMatrix(sp.kron(self._csr, other._csr, format="csr"))
 
     def adjoint(self) -> "SparseComplexMatrix":
         return SparseComplexMatrix(self._csr.conjugate().transpose().tocsr())
-
-    def transpose(self) -> "SparseComplexMatrix":
-        return SparseComplexMatrix(self._csr.transpose().tocsr())
-
-    def conjugate(self) -> "SparseComplexMatrix":
-        return SparseComplexMatrix(self._csr.conjugate().tocsr())
 
     def hermiticity_defect(self) -> float:
         """Largest entry of ``A - A``:sup:`dag` in magnitude."""
@@ -161,9 +126,6 @@ class SparseComplexMatrix:
         return SparseComplexMatrix((self._csr * complex(scalar)).tocsr())
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "SparseComplexMatrix":
-        return self * -1.0
 
     def _check_same_shape(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -240,15 +202,6 @@ def number_op():
     return _NUMBER
 
 
-def identity(n=2):
-    return SparseComplexMatrix.identity(n)
-
-
-def kron(a: SparseComplexMatrix, b: SparseComplexMatrix) -> SparseComplexMatrix:
-    """Tensor product; the first factor carries the most significant index."""
-    return a.kron(b)
-
-
 @lru_cache(maxsize=1024)
 def _embed_canonical(op_key, site, site_count):
     local = {"minus": _SIGMA_MINUS, "plus": _SIGMA_PLUS, "number": _NUMBER}[op_key]
@@ -283,14 +236,6 @@ def embed(local: SparseComplexMatrix, site, layout: HilbertLayout) -> SparseComp
         block = local if i == site else _IDENTITY2
         out = block if out is None else out.kron(block)
     return out
-
-
-def adjoint(a: SparseComplexMatrix) -> SparseComplexMatrix:
-    return a.adjoint()
-
-
-def multiply(a: SparseComplexMatrix, b: SparseComplexMatrix) -> SparseComplexMatrix:
-    return a @ b
 
 
 def expectation(op: SparseComplexMatrix, rho) -> complex:

@@ -85,111 +85,57 @@ def effective_workers(task, requested):
 
 
 # ---------------------------------------------------------------------------
-# Point evaluation (module-level and picklable for worker processes)
+# Point tasks: one steady solve per (omega1, omega2) grid point
 
-def _emitter_kwargs(cfg: RunConfig):
-    em = cfg.emitter
-    return {
-        "kr12": em.kr12,
-        "cos_theta12": em.cos_theta12,
-        "rabi": em.rabi,
-        "laser_direction": em.laser_direction,
-        "detection_direction": em.detection_direction,
-        "atom_count": em.atom_count,
-        "force_independent": em.force_independent,
-    }
+def _g2_values(emitter, w1, w2, linewidth, epsilon):
+    return (sensor_g2(emitter, w1, w2, linewidth, epsilon).g2,)
 
 
-def _rebuild_emitter(kwargs):
-    from .dipole import EmitterPairConfig
-
-    return EmitterPairConfig(**kwargs)
-
-
-def _eval_point(payload):
-    """Evaluate one grid point; returns (index, row_values, status)."""
-    index, task, em_kwargs, linewidth, epsilon, params = payload
-    emitter = _rebuild_emitter(em_kwargs)
-    try:
-        if task == "g2map":
-            w1, w2 = params
-            point = sensor_g2(emitter, w1, w2, linewidth, epsilon)
-            return index, (w1, w2, point.g2), STATUS_OK
-        if task == "csi":
-            w1, w2 = params
-            point = csi_ratio(emitter, w1, w2, linewidth, epsilon)
-            return (
-                index,
-                (w1, w2, point.ratio, point.g11, point.g22, point.g12),
-                STATUS_OK,
-            )
-        if task == "bell":
-            w1, w2 = params
-            point = bell_quantifier(emitter, w1, w2, linewidth, epsilon)
-            b1111, b2222, b1221, b1122, b2211 = point.b_terms
-            return (
-                index,
-                (
-                    w1,
-                    w2,
-                    point.quantifier,
-                    b1111.real,
-                    b2222.real,
-                    b1221.real,
-                    b1122.real,
-                    b1122.imag,
-                ),
-                STATUS_OK,
-            )
-        raise ValueError(f"unknown point task {task!r}")
-    except UndefinedCorrelationError:
-        return index, _failure_row(task, params), "undefined_correlation"
-    except Exception as exc:  # isolate the point, record the reason
-        return index, _failure_row(task, params), f"error:{type(exc).__name__}"
+def _csi_values(emitter, w1, w2, linewidth, epsilon):
+    point = csi_ratio(emitter, w1, w2, linewidth, epsilon)
+    return point.ratio, point.g11, point.g22, point.g12
 
 
-def _failure_row(task, params):
-    """The point's parameters padded with NaN to its value columns."""
-    width = len(_POINT_COLUMNS[task]) - 1  # every column but status
-    return tuple(params) + (math.nan,) * (width - len(params))
+def _bell_values(emitter, w1, w2, linewidth, epsilon):
+    point = bell_quantifier(emitter, w1, w2, linewidth, epsilon)
+    b1111, b2222, b1221, b1122, _ = point.b_terms
+    return point.quantifier, b1111.real, b2222.real, b1221.real, b1122.real, b1122.imag
 
 
-_POINT_COLUMNS = {
-    "g2map": ["omega1", "omega2", "g2", "status"],
-    "csi": ["omega1", "omega2", "ratio", "g11", "g22", "g12", "status"],
-    "bell": [
-        "omega1",
-        "omega2",
-        "bell",
-        "b1111",
-        "b2222",
-        "b1221",
-        "b1122_re",
-        "b1122_im",
-        "status",
-    ],
+# task -> (value columns between omega1, omega2 and status; kernel)
+_POINT_TASKS = {
+    "g2map": (["g2"], _g2_values),
+    "csi": (["ratio", "g11", "g22", "g12"], _csi_values),
+    "bell": (["bell", "b1111", "b2222", "b1221", "b1122_re", "b1122_im"], _bell_values),
 }
 
 
-def _point_list(cfg: RunConfig):
-    """The immutable task list: (point_task, params) per grid point."""
-    if cfg.task == "g2map":
-        w1s = axis_points(cfg.omega_axis)
-        w2s = axis_points(cfg.omega2_axis)
-        return "g2map", [(float(a), float(b)) for a in w1s for b in w2s]
-    if cfg.task in ("csi", "bell"):
-        w1s = axis_points(cfg.omega_axis)
-        if cfg.line_sum is not None:
-            pairs = [(float(a), float(cfg.line_sum - a)) for a in w1s]
-        else:
-            w2s = axis_points(cfg.omega2_axis)
-            pairs = [(float(a), float(b)) for a in w1s for b in w2s]
-        return cfg.task, pairs
-    raise ValueError(f"task {cfg.task!r} is not a per-point sweep")
+def _eval_point(payload):
+    """Evaluate one grid point; returns (index, row_values, status).
+
+    A failed point keeps its frequencies and fills its value columns with NaN.
+    """
+    index, task, emitter, linewidth, epsilon, (w1, w2) = payload
+    value_columns, kernel = _POINT_TASKS[task]
+    try:
+        return index, (w1, w2) + kernel(emitter, w1, w2, linewidth, epsilon), STATUS_OK
+    except UndefinedCorrelationError:
+        status = "undefined_correlation"
+    except Exception as exc:  # isolate the point, record the reason
+        status = f"error:{type(exc).__name__}"
+    return index, (w1, w2) + (math.nan,) * len(value_columns), status
+
+
+def _frequency_pairs(cfg: RunConfig):
+    """The grid points in row order: along ``line_sum`` or the full product."""
+    w1s = [float(w) for w in axis_points(cfg.omega_axis)]
+    if cfg.line_sum is not None:
+        return [(w1, float(cfg.line_sum - w1)) for w1 in w1s]
+    return [(w1, float(w2)) for w1 in w1s for w2 in axis_points(cfg.omega2_axis)]
 
 
 # ---------------------------------------------------------------------------
-# Whole-table tasks (single computations)
+# Table tasks: one computation per run, returning (columns, rows, header extra)
 
 def _dressed_table_rows(cfg: RunConfig):
     emitter = cfg.emitter
@@ -208,7 +154,7 @@ def _dressed_table_rows(cfg: RunConfig):
         triplet.d23,
         triplet.d13,
     )
-    return columns, [row]
+    return columns, [row], {}
 
 
 def _spectrum_rows(cfg: RunConfig):
@@ -240,8 +186,14 @@ def _g2tau_rows(cfg: RunConfig):
     points = sensor_g2_tau(
         cfg.emitter, cfg.omega1, cfg.omega2, cfg.sensor_linewidth, taus, cfg.epsilon
     )
-    columns = ["tau", "g2"]
-    return columns, [(p.tau, p.g2) for p in points]
+    return ["tau", "g2"], [(p.tau, p.g2) for p in points], {}
+
+
+_TABLE_TASKS = {
+    "dressed": _dressed_table_rows,
+    "spectrum": _spectrum_rows,
+    "g2tau": _g2tau_rows,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -316,19 +268,13 @@ def run_sweep(
     start = time.monotonic()
     header = _base_header(cfg, timestamp)
 
-    if cfg.task == "dressed":
-        columns, rows = _dressed_table_rows(cfg)
-        return _finish(header, columns, rows, start, timestamp)
-    if cfg.task == "g2tau":
-        columns, rows = _g2tau_rows(cfg)
-        return _finish(header, columns, rows, start, timestamp)
-    if cfg.task == "spectrum":
-        columns, rows, extra = _spectrum_rows(cfg)
+    if cfg.task in _TABLE_TASKS:
+        columns, rows, extra = _TABLE_TASKS[cfg.task](cfg)
         header.update(extra)
         return _finish(header, columns, rows, start, timestamp)
 
-    point_task, param_list = _point_list(cfg)
-    columns = list(_POINT_COLUMNS[point_task])
+    pairs = _frequency_pairs(cfg)
+    columns = ["omega1", "omega2", *_POINT_TASKS[cfg.task][0], "status"]
     fingerprint = _config_fingerprint(cfg)
     done = {}
     if resume_from:
@@ -336,8 +282,8 @@ def run_sweep(
     ckpt = checkpoint_path or (cfg.output_path + ".ckpt")
 
     pending = [
-        (i, point_task, _emitter_kwargs(cfg), cfg.sensor_linewidth, cfg.epsilon, params)
-        for i, params in enumerate(param_list)
+        (i, cfg.task, cfg.emitter, cfg.sensor_linewidth, cfg.epsilon, pair)
+        for i, pair in enumerate(pairs)
         if i not in done
     ]
     n_workers = effective_workers(cfg.task, cfg.workers if workers is None else workers)
@@ -375,7 +321,7 @@ def run_sweep(
         _write_checkpoint(ckpt, fingerprint, done)
         raise SweepInterrupted("sweep interrupted; checkpoint written", ckpt)
 
-    rows = [done[i][0] + (done[i][1],) for i in range(len(param_list))]
+    rows = [done[i][0] + (done[i][1],) for i in range(len(pairs))]
     if os.path.exists(ckpt):
         os.remove(ckpt)
     return _finish(header, columns, rows, start, timestamp)

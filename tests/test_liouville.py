@@ -4,10 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import emitpair as ep
 from emitpair.liouville import (
-    DENSE_PROPAGATION_LIMIT,
     DensityMatrix,
     Propagator,
     SensorSpec,
@@ -16,11 +16,10 @@ from emitpair.liouville import (
     build_hamiltonian,
     emission_operator,
     steady_state,
-    symmetric_mode_channels,
     two_time_correlator,
     vectorize,
 )
-from emitpair.operators import HilbertLayout, adjoint, embed, expectation, number_op, sigma_minus
+from emitpair.operators import HilbertLayout, embed, expectation, number_op, sigma_minus
 
 
 def vec_f(mat):
@@ -157,13 +156,6 @@ def test_sensor_channels_appended(pair_config):
     assert channels[3][0] == 2.0
 
 
-def test_symmetric_mode_comparison_channels(pair_config):
-    full = build_collapse_channels(pair_config, ())
-    reduced = symmetric_mode_channels(pair_config, ())
-    assert len(reduced) == 1
-    assert reduced[0][0] == pytest.approx(full[0][0])
-
-
 def test_unphysical_cross_damping_rejected():
     with pytest.raises(ValueError):
         ep.DipoleCoefficients(delta12=0.0, gamma12=1.5)
@@ -275,7 +267,7 @@ def test_sensor_population_matches_filtered_correlation_integral(pair_config):
     taus = np.linspace(0.0, 80.0, 32001)
     corr = np.asarray(
         two_time_correlator(
-            assembly.superoperator, [adjoint(emission)], [], emission, taus, rho_ss=rho
+            assembly.superoperator, [emission.adjoint()], [], emission, taus, rho_ss=rho
         )
     )
     kernel = np.exp((1j * omega_s - 0.5 * linewidth) * taus)
@@ -319,19 +311,25 @@ def test_excited_atom_decays_exponentially():
     np.testing.assert_allclose(pops, np.exp(-taus), atol=1e-10)
 
 
-def test_dense_and_stiff_paths_agree(pair_config):
-    # 16-dimensional superoperator: both propagation routes available
-    assembly = build_assembly(pair_config, ())
-    rho = steady_state(assembly.superoperator)
-    emission = emission_operator(pair_config, assembly.layout)
-    seed = emission @ np.asarray(rho.data) @ adjoint(emission)
+def test_dense_and_stiff_paths_agree():
+    # the pair propagates through its eigenbasis; a single atom at rabi = 1/4
+    # sits on the Mollow exceptional point, where the eigenbasis probe fails
+    # and stiff integration takes over.  Both must match the matrix exponential.
     taus = np.linspace(0.0, 10.0, 21)
-    dense = Propagator(assembly.superoperator, dense_limit=DENSE_PROPAGATION_LIMIT)
-    stiff = Propagator(assembly.superoperator, dense_limit=0)
-    assert dense._dense and not stiff._dense
-    out_dense = dense.propagate_vec(vec_f(seed), taus)
-    out_stiff = stiff.propagate_vec(vec_f(seed), taus)
-    assert np.max(np.abs(out_dense - out_stiff)) < 1e-8
+    for cfg, eigenbasis, tol in (
+        (ep.EmitterPairConfig(kr12=0.05, rabi=30.0), True, 1e-12),
+        (ep.EmitterPairConfig(atom_count=1, rabi=0.25), False, 1e-9),
+    ):
+        assembly = build_assembly(cfg, ())
+        rho = steady_state(assembly.superoperator)
+        emission = emission_operator(cfg, assembly.layout)
+        seed = vec_f(emission @ np.asarray(rho.data) @ emission.adjoint())
+        prop = Propagator(assembly.superoperator)
+        assert prop._dense == eigenbasis
+        gen = assembly.superoperator.to_dense()
+        exact = np.array([expm(gen * tau) @ seed for tau in taus])
+        out = prop.propagate_vec(seed, taus)
+        assert np.max(np.abs(out - exact)) < tol * np.max(np.abs(seed))
 
 
 def test_propagator_rejects_unsorted_or_negative_taus(pair_config):
@@ -350,7 +348,7 @@ def test_correlator_at_zero_delay_is_plain_expectation(pair_config):
     assembly = build_assembly(pair_config, ())
     rho = steady_state(assembly.superoperator)
     emission = emission_operator(pair_config, assembly.layout)
-    raising = adjoint(emission)
+    raising = emission.adjoint()
     value = two_time_correlator(
         assembly.superoperator, [raising], [], emission, [0.0], rho_ss=rho
     )[0]
@@ -363,7 +361,7 @@ def test_correlator_factorizes_at_long_delay():
     assembly = build_assembly(cfg, ())
     rho = steady_state(assembly.superoperator)
     emission = emission_operator(cfg, assembly.layout)
-    raising = adjoint(emission)
+    raising = emission.adjoint()
     value = two_time_correlator(
         assembly.superoperator, [raising], [], emission, [50.0], rho_ss=rho
     )[0]
@@ -376,7 +374,7 @@ def test_correlator_supports_operator_products(pair_config):
     assembly = build_assembly(pair_config, ())
     rho = steady_state(assembly.superoperator)
     emission = emission_operator(pair_config, assembly.layout)
-    raising = adjoint(emission)
+    raising = emission.adjoint()
     intensity_op = raising @ emission
     via_lists = two_time_correlator(
         assembly.superoperator,

@@ -16,13 +16,11 @@ from emitpair.liouville import (
 )
 from emitpair.observables import (
     UndefinedCorrelationError,
-    classify_frequency_pair,
     default_omega_grid,
     default_spectrum_window,
-    field_operator,
     find_local_maxima,
 )
-from emitpair.operators import HilbertLayout, adjoint, embed, expectation, number_op
+from emitpair.operators import HilbertLayout, embed, expectation, number_op
 
 
 def lorentzian(x, hwhm):
@@ -30,12 +28,12 @@ def lorentzian(x, hwhm):
 
 
 # ---------------------------------------------------------------------------
-# Field operator
+# Emission operator
 
 def test_field_operator_coincident_phase_limit():
     cfg = ep.EmitterPairConfig(kr12=1e-6, rabi=1.0, detection_direction=(1.0, 0.0, 0.0))
     layout = HilbertLayout.for_system(2)
-    em = field_operator(cfg, layout).to_dense()
+    em = emission_operator(cfg, layout).to_dense()
     entries = em[np.abs(em) > 1e-12]
     # equal amplitudes up to a global phase
     assert np.allclose(np.abs(entries), 1.0, atol=1e-6)
@@ -49,8 +47,8 @@ def test_field_operator_perpendicular_detection_has_equal_phases():
 def test_driven_pair_radiates(pair_config):
     assembly = build_assembly(pair_config, ())
     rho = steady_state(assembly.superoperator)
-    em = field_operator(pair_config, assembly.layout)
-    intensity = expectation(adjoint(em) @ em, rho.data).real
+    em = emission_operator(pair_config, assembly.layout)
+    intensity = expectation(em.adjoint() @ em, rho.data).real
     assert intensity > 0.0
 
 
@@ -173,12 +171,13 @@ def test_sensor_scan_matches_convolved_fourier(pair_spectra, pair_config_module)
     )
     if raw.narrow_line is not None:
         weight, center, hwhm = raw.narrow_line
-        convolved += weight * lorentzian(grid - center, hwhm + linewidth / 2.0)
-    convolved += raw.elastic_weight * lorentzian(grid, linewidth / 2.0)
+        convolved += 2.0 * np.pi * weight * lorentzian(grid - center, hwhm + linewidth / 2.0)
+    # a line of weight w integrates to 2 pi w in ``values`` units
+    convolved += 2.0 * np.pi * raw.elastic_weight * lorentzian(grid, linewidth / 2.0)
     convolved /= convolved.max()
     observed = scan.values / scan.values.max()
     rel_l2 = np.linalg.norm(convolved - observed) / np.linalg.norm(observed)
-    assert rel_l2 < 0.05
+    assert rel_l2 < 1e-5
 
 
 def test_sensor_scan_far_tail(pair_config_module):
@@ -221,11 +220,11 @@ def test_fourier_matches_correlator_quadrature(single_config):
     assembly = build_assembly(single_config, ())
     rho = steady_state(assembly.superoperator)
     em = emission_operator(single_config, assembly.layout)
-    intensity = expectation(adjoint(em) @ em, rho.data).real
+    intensity = expectation(em.adjoint() @ em, rho.data).real
     # every mode has decayed below 1e-8 by tau = 40
     tau = np.linspace(0.0, 40.0, 8001)
     corr = two_time_correlator(
-        assembly.superoperator, [adjoint(em)], [], em, tau, rho_ss=rho
+        assembly.superoperator, [em.adjoint()], [], em, tau, rho_ss=rho
     )
     gtilde = np.asarray(corr) / intensity - spec.elastic_weight
     oracle = [2.0 * np.trapezoid(gtilde * np.exp(1j * w * tau), tau).real for w in omegas]
@@ -358,7 +357,7 @@ def test_sensor_g2_epsilon_independence(pair_config, pair_triplet):
 
 
 # ---------------------------------------------------------------------------
-# Peak finding and pair classification
+# Peak finding
 
 def test_find_local_maxima_threshold():
     grid = np.linspace(-1, 1, 201)
@@ -366,21 +365,3 @@ def test_find_local_maxima_threshold():
     peaks = find_local_maxima(grid, values, min_height_frac=1e-3)
     assert len(peaks) == 1
     assert peaks[0][0] == pytest.approx(0.4, abs=0.02)
-
-
-def test_classify_frequency_pair(pair_triplet):
-    tri = pair_triplet
-    assert classify_frequency_pair(tri, 0.0, 0.0, 1.0) == "carrier"
-    assert classify_frequency_pair(tri, tri.d13, 0.0, 1.0) == "sideband-carrier"
-    assert classify_frequency_pair(tri, tri.d12, -tri.d12, 1.0) == "opposite-sideband"
-    assert classify_frequency_pair(tri, tri.d12, tri.d12, 1.0) == "equal-sideband"
-    assert classify_frequency_pair(tri, tri.d12, tri.d23, 1.0) == "cross-sideband"
-    assert classify_frequency_pair(tri, 10.0, -17.0, 1.0) == "virtual"
-
-
-def test_classification_degeneracy_guard():
-    cfg = ep.EmitterPairConfig(kr12=0.05, rabi=30.0)
-    tri = ep.dressed_triplet(cfg, ep.DipoleCoefficients(delta12=0.0, gamma12=0.0))
-    # equal gaps: sideband classes cannot be told apart at this linewidth
-    assert classify_frequency_pair(tri, tri.d12, tri.d12, 1.0) == "unresolved"
-    assert classify_frequency_pair(tri, tri.d12, 0.0, 1.0) == "sideband-carrier"

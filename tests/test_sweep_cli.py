@@ -1,5 +1,6 @@
 """Sweep orchestration, persistence, resume, determinism and the CLI."""
 
+import dataclasses
 import json
 import math
 import os
@@ -117,6 +118,17 @@ def test_flagged_rows_instead_of_abort():
     statuses = {row[3] for row in table.rows}
     assert statuses == {"undefined_correlation"}
     assert all(math.isnan(row[2]) for row in table.rows)
+
+
+def test_point_tasks_compute_on_the_configured_emitter(tmp_path):
+    # a point must see every emitter field, gamma included, not a rebuilt copy
+    cfg = load_config(SMALL_MAP)
+    emitter = dataclasses.replace(cfg.emitter, gamma=2.0)
+    cfg = dataclasses.replace(
+        cfg, emitter=emitter, omega_axis=(25.0, 25.0, 1), omega2_axis=(-25.0, -25.0, 1)
+    )
+    table = run_sweep(cfg, checkpoint_path=str(tmp_path / "ckpt"), timestamp=False)
+    assert table.rows[0][2] == ep.sensor_g2(emitter, 25.0, -25.0, 1.0).g2
 
 
 def test_csv_round_trip_zero_diff(tmp_path):
