@@ -301,7 +301,7 @@ def load_config(source, overrides=None) -> RunConfig:
     grid = data.get("grid", {})
     omega_axis = omega2_axis = None
     if task in ("spectrum", "g2map", "csi", "bell"):
-        half = triplet.d13 + 10.0
+        half = triplet.spectrum_window
         omega_min = _get_float(grid, "grid", "omega_min", -half)
         omega_max = _get_float(grid, "grid", "omega_max", half)
         count = _get_int(grid, "grid", "count", _DEFAULT_COUNTS[task])

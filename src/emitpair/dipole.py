@@ -63,7 +63,6 @@ class EmitterPairConfig:
     rabi: float = 30.0
     laser_direction: tuple = field(default=_PERP_DEFAULT)
     detection_direction: tuple = field(default=_PERP_DEFAULT)
-    gamma: float = 1.0
     atom_count: int = 2
     force_independent: bool = False
 
@@ -76,8 +75,6 @@ class EmitterPairConfig:
             raise ValueError("cos_theta12 must lie in [-1, 1]")
         if self.rabi < 0.0:
             raise ValueError("rabi must be nonnegative")
-        if self.gamma <= 0.0:
-            raise ValueError("gamma must be positive")
         object.__setattr__(
             self, "laser_direction", _unit_vector(self.laser_direction, "laser_direction")
         )
@@ -154,6 +151,11 @@ class DressedTriplet:
     @property
     def d23(self):
         return self.sideband_deltas[2]
+
+    @property
+    def spectrum_window(self):
+        """Half-width of the default frequency window: outermost sideband + 10."""
+        return self.d13 + 10.0
 
 
 def dipole_coefficients(config: EmitterPairConfig) -> DipoleCoefficients:

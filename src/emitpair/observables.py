@@ -121,8 +121,7 @@ def g1(config: EmitterPairConfig, tau_grid):
 
 def default_spectrum_window(config: EmitterPairConfig) -> float:
     """Half-width of the default frequency window: outermost sideband + 10."""
-    triplet = dressed_triplet(config, effective_coefficients(config))
-    return triplet.d13 + 10.0
+    return dressed_triplet(config, effective_coefficients(config)).spectrum_window
 
 
 def default_omega_grid(config: EmitterPairConfig, count=401):
@@ -341,7 +340,9 @@ def sensor_g2_tau(
     Positive delays are regression-theorem correlators
     ``<xi1+(t) n2(t+tau) xi1(t)> / (<n1><n2>)``; negative delays use the
     detection-order identity ``g2(w1, w2, -tau) = g2(w2, w1, tau)`` on the
-    same assembled model.
+    same assembled model.  Each branch contracts all its delays in one
+    :meth:`Propagator.correlate` call; the grid may come in any order and the
+    points follow it.
     """
     taus = np.asarray(tau_grid, dtype=float)
     sensors = tuple(
@@ -355,25 +356,14 @@ def sensor_g2_tau(
     )
 
     prop = Propagator(assembly.superoperator)
-    norm = n1 * n2
     rho_arr = np.asarray(rho.data)
     results = np.empty(taus.size, dtype=float)
-
-    def _fill(mask, first_lower, mid_op, delays):
-        if not np.any(mask):
-            return
-        seed = first_lower @ rho_arr @ first_lower.adjoint()
-        order = np.argsort(delays[mask], kind="stable")
-        sorted_delays = delays[mask][order]
-        mats = prop.propagate_vec(seed.flatten(order="F"), sorted_delays)
-        # Tr[B X] = vec_C(B) . vec_F(X), one product for every delay
-        vals = np.real(mats @ mid_op.to_dense().flatten(order="C"))
-        unsorted = np.empty_like(vals)
-        unsorted[order] = vals
-        results[mask] = unsorted / norm
-
-    _fill(taus >= 0.0, lower1, num2, taus)
-    _fill(taus < 0.0, lower2, num1, -taus)
+    branches = ((taus >= 0.0, lower1, num2), (taus < 0.0, lower2, num1))
+    for mask, first_lower, mid_op in branches:
+        if np.any(mask):
+            seed = first_lower @ rho_arr @ first_lower.adjoint()
+            results[mask] = np.real(prop.correlate(seed, mid_op, np.abs(taus[mask])))
+    results /= n1 * n2
 
     return [
         CorrelationPoint(

@@ -203,20 +203,11 @@ def number_op():
 
 
 @lru_cache(maxsize=1024)
-def _embed_canonical(op_key, site, site_count):
-    local = {"minus": _SIGMA_MINUS, "plus": _SIGMA_PLUS, "number": _NUMBER}[op_key]
-    out = None
-    for i in range(site_count):
-        block = local if i == site else _IDENTITY2
-        out = block if out is None else out.kron(block)
-    return out
-
-
 def embed(local: SparseComplexMatrix, site, layout: HilbertLayout) -> SparseComplexMatrix:
     """Embed a 2x2 operator at ``site``, identity everywhere else.
 
-    Embeddings of the canonical single-site operators are cached per chain
-    length; they dominate model assembly in sweeps.
+    Embeddings are cached per operator object, site and layout; those of the
+    single-site constants dominate model assembly in sweeps.
     """
     if local.rows != 2 or local.cols != 2:
         raise ValueError("local operator must be 2x2")
@@ -224,13 +215,6 @@ def embed(local: SparseComplexMatrix, site, layout: HilbertLayout) -> SparseComp
         raise ValueError(
             f"site {site} out of range for layout with {layout.site_count} sites"
         )
-    for key, canonical in (
-        ("minus", _SIGMA_MINUS),
-        ("plus", _SIGMA_PLUS),
-        ("number", _NUMBER),
-    ):
-        if local is canonical:
-            return _embed_canonical(key, site, layout.site_count)
     out = None
     for i in range(layout.site_count):
         block = local if i == site else _IDENTITY2

@@ -311,14 +311,15 @@ def test_excited_atom_decays_exponentially():
     np.testing.assert_allclose(pops, np.exp(-taus), atol=1e-10)
 
 
-def test_dense_and_stiff_paths_agree():
+def test_eigenbasis_and_fallback_match_expm():
     # the pair propagates through its eigenbasis; a single atom at rabi = 1/4
     # sits on the Mollow exceptional point, where the eigenbasis probe fails
-    # and stiff integration takes over.  Both must match the matrix exponential.
+    # and the sparse matrix-exponential action takes over.  Both must match
+    # the dense matrix exponential.
     taus = np.linspace(0.0, 10.0, 21)
     for cfg, eigenbasis, tol in (
-        (ep.EmitterPairConfig(kr12=0.05, rabi=30.0), True, 1e-12),
-        (ep.EmitterPairConfig(atom_count=1, rabi=0.25), False, 1e-9),
+        (ep.EmitterPairConfig(kr12=0.05, rabi=30.0), True, 5e-13),
+        (ep.EmitterPairConfig(atom_count=1, rabi=0.25), False, 1e-13),
     ):
         assembly = build_assembly(cfg, ())
         rho = steady_state(assembly.superoperator)
@@ -332,13 +333,40 @@ def test_dense_and_stiff_paths_agree():
         assert np.max(np.abs(out - exact)) < tol * np.max(np.abs(seed))
 
 
-def test_propagator_rejects_unsorted_or_negative_taus(pair_config):
-    assembly = build_assembly(pair_config, ())
+def test_propagator_rejects_negative_taus_and_keeps_grid_order():
+    # both routes: the pair's eigenbasis and the exceptional-point fallback
+    for cfg in (ep.EmitterPairConfig(), ep.EmitterPairConfig(atom_count=1, rabi=0.25)):
+        assembly = build_assembly(cfg, ())
+        prop = Propagator(assembly.superoperator)
+        rho = steady_state(assembly.superoperator)
+        emission = emission_operator(cfg, assembly.layout)
+        seed = vec_f(emission @ np.asarray(rho.data) @ emission.adjoint())
+        with pytest.raises(ValueError):
+            prop.propagate_vec(seed, [-1.0, 0.5])
+        taus = np.array([2.0, 0.0, 0.5, 3.0, 1.0])
+        order = np.argsort(taus)
+        unsorted = prop.propagate_vec(seed, taus)
+        np.testing.assert_allclose(
+            unsorted[order], prop.propagate_vec(seed, taus[order]), rtol=0, atol=1e-15
+        )
+        assert np.array_equal(unsorted[1], seed)  # zero delay is exact
+
+
+def test_fallback_above_the_dense_limit_keeps_the_state_physical():
+    # 2 atoms + 4 sensors: a 4096-dim generator, beyond DENSE_PROPAGATION_LIMIT
+    sensors = [SensorSpec(omega_s=w, epsilon=1e-2) for w in (-60.0, -25.0, 25.0, 60.0)]
+    assembly = build_assembly(ep.EmitterPairConfig(), sensors)
     prop = Propagator(assembly.superoperator)
-    with pytest.raises(ValueError):
-        prop.propagate_vec(np.zeros(16), [1.0, 0.5])
-    with pytest.raises(ValueError):
-        prop.propagate_vec(np.zeros(16), [-1.0, 0.5])
+    assert not prop._dense
+    ground = np.zeros((64, 64), dtype=complex)
+    ground[0, 0] = 1.0
+    states = ep.evolve(assembly.superoperator, DensityMatrix(data=ground), [0.0, 0.5, 1.0])
+    np.testing.assert_array_equal(states[0].data, ground)
+    for state in states:
+        assert abs(state.trace() - 1.0) < 1e-12
+        assert state.hermiticity_defect() < 1e-12
+    half = prop.propagate_vec(prop.propagate_vec(vec_f(ground), [0.5])[0], [0.5])[0]
+    np.testing.assert_allclose(half, vec_f(states[2].data), rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

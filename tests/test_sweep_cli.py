@@ -121,9 +121,9 @@ def test_flagged_rows_instead_of_abort():
 
 
 def test_point_tasks_compute_on_the_configured_emitter(tmp_path):
-    # a point must see every emitter field, gamma included, not a rebuilt copy
+    # a point must see every emitter field, not a rebuilt copy
     cfg = load_config(SMALL_MAP)
-    emitter = dataclasses.replace(cfg.emitter, gamma=2.0)
+    emitter = dataclasses.replace(cfg.emitter, laser_direction=(1.0, 0.0, 0.0))
     cfg = dataclasses.replace(
         cfg, emitter=emitter, omega_axis=(25.0, 25.0, 1), omega2_axis=(-25.0, -25.0, 1)
     )
