@@ -1,13 +1,19 @@
 """Master-equation assembly, vectorization, steady states and correlators."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import emitpair as ep
 from emitpair.liouville import (
+    _detuning_free_generator,
+    _trace_constrained_system,
     DensityMatrix,
     Propagator,
     SensorSpec,
@@ -177,6 +183,75 @@ def test_vectorized_action_matches_dense_master_equation(rng):
     np.testing.assert_allclose(via_superop, direct, atol=1e-12)
 
 
+def assert_same_csr(a, b):
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def assert_assembly_matches_full_vectorization(cfg, sensors):
+    full = vectorize(build_hamiltonian(cfg, sensors), build_collapse_channels(cfg, sensors))
+    assert_same_csr(build_assembly(cfg, sensors).superoperator.csr, full.csr)
+
+
+def test_build_assembly_matches_full_vectorization():
+    pair = ep.EmitterPairConfig(kr12=0.3, rabi=4.0)
+    for sensors in (
+        (),
+        (SensorSpec(2.5, 1.0),),
+        (SensorSpec(-7.0, 0.1), SensorSpec(3.0, 0.1)),
+        (SensorSpec(4.0, 1.0), SensorSpec(4.0, 1.0)),  # equal frequencies
+        (SensorSpec(1.0, 1.0, 0.0), SensorSpec(-1.0, 1.0, 0.0)),  # epsilon = 0
+        tuple(SensorSpec(w, 0.1) for w in (-60.0, -25.0, 25.0, 60.0)),
+    ):
+        assert_assembly_matches_full_vectorization(pair, sensors)
+    # two emitters that differ only in the drive direction, called in turn:
+    # the one cached generator is missed, hit and replaced
+    along = ep.EmitterPairConfig(kr12=0.3, rabi=4.0, laser_direction=(1.0, 0.0, 0.0))
+    sensors = (SensorSpec(5.0, 1.0), SensorSpec(-5.0, 1.0))
+    _detuning_free_generator.cache_clear()
+    for cfg in (pair, pair, along, pair, along, along):
+        assert_assembly_matches_full_vectorization(cfg, sensors)
+    info = _detuning_free_generator.cache_info()
+    assert (info.hits, info.misses, info.maxsize, info.currsize) == (2, 4, 1, 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(-500.0, 500.0, allow_nan=False), min_size=1, max_size=2))
+def test_build_assembly_matches_full_vectorization_at_drawn_frequencies(omegas):
+    cfg = ep.EmitterPairConfig(kr12=0.05, rabi=30.0)
+    assert_assembly_matches_full_vectorization(cfg, tuple(SensorSpec(w) for w in omegas))
+
+
+def test_build_assembly_does_not_repeat_the_coupling_warning():
+    with pytest.warns(UserWarning, match="perturb"):
+        sensors = (SensorSpec(1.0, epsilon=0.05), SensorSpec(-1.0, epsilon=0.05))
+    _detuning_free_generator.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        build_assembly(ep.EmitterPairConfig(), sensors)
+
+
+def test_spliced_trace_row_matches_stacked_reference():
+    for cfg, sensors in (
+        (ep.EmitterPairConfig(atom_count=1, rabi=2.0), (SensorSpec(1.0),)),  # 16-dim
+        (ep.EmitterPairConfig(), (SensorSpec(10.0), SensorSpec(-20.0))),  # 256-dim
+    ):
+        gen = build_assembly(cfg, sensors).superoperator.csr
+        n = gen.shape[0]
+        dim = math.isqrt(n)
+        weight = float(np.mean(np.abs(gen.diagonal())))
+        row = sp.csr_matrix(
+            (np.full(dim, weight, dtype=np.complex128),
+             (np.zeros(dim, int), np.arange(dim) * (dim + 1))),
+            shape=(1, n),
+        )
+        reference = sp.vstack([row, gen[1:]], format="csc")
+        mod, rhs = _trace_constrained_system(gen)
+        assert mod.format == "csc"
+        assert_same_csr(mod, reference)
+        assert rhs[0] == weight and not np.any(rhs[1:])
+
+
 def test_undriven_atom_decay_spectrum():
     cfg = ep.EmitterPairConfig(atom_count=1, rabi=0.0)
     assembly = build_assembly(cfg, ())
@@ -312,16 +387,27 @@ def test_excited_atom_decays_exponentially():
 
 
 def test_eigenbasis_and_fallback_match_expm():
-    # the pair propagates through its eigenbasis; a single atom at rabi = 1/4
-    # sits on the Mollow exceptional point, where the eigenbasis probe fails
-    # and the sparse matrix-exponential action takes over.  Both must match
+    # the pair and the fig2c two-sensor model propagate through their
+    # eigenbases; a single atom at rabi = 1/4 sits on the Mollow exceptional
+    # point, and near it the eigenvectors are so ill-conditioned that the
+    # sparse matrix-exponential action takes over.  Every route must match
     # the dense matrix exponential.
+    fig2c = ep.EmitterPairConfig(kr12=0.006, rabi=250.0)
+    _, d13, d23 = ep.dressed_triplet(fig2c, ep.dipole_coefficients(fig2c)).sideband_deltas
+    fig2c_sensors = (SensorSpec(d13, 5.0), SensorSpec(-d23, 5.0))
     taus = np.linspace(0.0, 10.0, 21)
-    for cfg, eigenbasis, tol in (
-        (ep.EmitterPairConfig(kr12=0.05, rabi=30.0), True, 5e-13),
-        (ep.EmitterPairConfig(atom_count=1, rabi=0.25), False, 1e-13),
+    for cfg, sensors, eigenbasis, tol in (
+        (ep.EmitterPairConfig(kr12=0.05, rabi=30.0), (), True, 5e-13),
+        # |L| tau reaches ~1e4 here: rounding alone is ~1e-12 (expm and
+        # expm_multiply differ by 7.5e-13 on this grid)
+        (fig2c, fig2c_sensors, True, 5e-12),
+        (ep.EmitterPairConfig(atom_count=1, rabi=0.25), (), False, 1e-13),
+        (ep.EmitterPairConfig(atom_count=1, rabi=0.25 + 1e-15), (), False, 1e-13),
+        (ep.EmitterPairConfig(atom_count=1, rabi=0.25 + 1e-12), (), False, 1e-13),
+        (ep.EmitterPairConfig(atom_count=1, rabi=0.25 + 1e-9), (), False, 1e-13),
+        (ep.EmitterPairConfig(atom_count=1, rabi=0.25 + 1e-6), (), True, 5e-13),
     ):
-        assembly = build_assembly(cfg, ())
+        assembly = build_assembly(cfg, sensors)
         rho = steady_state(assembly.superoperator)
         emission = emission_operator(cfg, assembly.layout)
         seed = vec_f(emission @ np.asarray(rho.data) @ emission.adjoint())
