@@ -1,6 +1,7 @@
 """Driven coupled two-level emitters: spectra, photon correlations, nonclassicality.
 
-Library layers, bottom up: sparse operator algebra (:mod:`emitpair.operators`),
+Library layers, bottom up: dense Hilbert-space operators and the sparse
+superoperator type (:mod:`emitpair.operators`),
 pair geometry and dressed structure (:mod:`emitpair.dipole`), master-equation
 engine (:mod:`emitpair.liouville`), physical observables
 (:mod:`emitpair.observables`), Cauchy-Schwarz / Bell quantifiers

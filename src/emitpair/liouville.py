@@ -14,7 +14,7 @@ carries the sign convention ``i [rho, H]``.
 A note on field-operator conventions used here: the far-field *emission*
 operator collects the atomic lowering operators with propagation phases,
 ``emission = sum_j sigma_j^- exp(-i k n.r_j)``; its adjoint raises.  All
-intensities are normally ordered, ``<adjoint(emission) . emission>``-style, and
+intensities are normally ordered, ``<emission^dag emission>``, and
 the sensor coupling transfers excitations from atoms to sensors via
 ``emission . sensor_raise + h.c.``.
 """
@@ -25,7 +25,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -145,24 +145,22 @@ def _unvec(v):
     return v.reshape((n, n), order="F")
 
 
-def emission_operator(config: EmitterPairConfig, layout: HilbertLayout) -> SparseComplexMatrix:
-    """Far-field emission operator along the detection direction.
+def emission_operator(config: EmitterPairConfig, layout: HilbertLayout) -> np.ndarray:
+    """Far-field emission operator along the detection direction, dense.
 
     Sum of atomic lowering operators weighted by ``exp(-i k n.r_j)``; photon
     absorption at the detector.  Its adjoint is the corresponding raising
     combination; the normally ordered intensity is
-    ``expectation(E_em.adjoint() @ E_em, rho)``.
+    ``expectation(E_em.conj().T @ E_em, rho)``.
     """
-    phases = config.detection_phases()
-    out = None
-    for site, phi in zip(layout.atom_sites, phases):
-        term = cmath.exp(-1j * phi) * embed(sigma_minus(), site, layout)
-        out = term if out is None else out + term
-    return out
+    return sum(
+        cmath.exp(-1j * phi) * embed(sigma_minus(), site, layout)
+        for site, phi in zip(layout.atom_sites, config.detection_phases())
+    )
 
 
-def build_hamiltonian(config: EmitterPairConfig, sensors) -> SparseComplexMatrix:
-    """Laser-frame Hamiltonian of atoms plus sensors (decay-rate units).
+def build_hamiltonian(config: EmitterPairConfig, sensors) -> np.ndarray:
+    """Laser-frame Hamiltonian of atoms plus sensors (decay-rate units), dense.
 
     Terms: resonant drive with per-atom plane-wave phases, coherent
     excitation exchange ``delta12`` between the atoms, sensor
@@ -170,14 +168,13 @@ def build_hamiltonian(config: EmitterPairConfig, sensors) -> SparseComplexMatrix
     """
     sensors = list(sensors)
     layout = HilbertLayout.for_system(config.atom_count, len(sensors))
-    dim = layout.dimension
-    h = SparseComplexMatrix.zeros(dim, dim)
+    h = np.zeros((layout.dimension,) * 2, dtype=np.complex128)
 
     half_rabi = 0.5 * config.rabi
     for site, phi in zip(layout.atom_sites, config.laser_phases()):
         lower = embed(sigma_minus(), site, layout)
         h = h + half_rabi * (cmath.exp(-1j * phi) * lower) + half_rabi * (
-            cmath.exp(1j * phi) * lower.adjoint()
+            cmath.exp(1j * phi) * lower.conj().T
         )
 
     if config.atom_count == 2:
@@ -185,7 +182,7 @@ def build_hamiltonian(config: EmitterPairConfig, sensors) -> SparseComplexMatrix
         if coeffs.delta12 != 0.0:
             a0, a1 = layout.atom_sites
             hop = embed(sigma_plus(), a0, layout) @ embed(sigma_minus(), a1, layout)
-            h = h + coeffs.delta12 * (hop + hop.adjoint())
+            h = h + coeffs.delta12 * (hop + hop.conj().T)
 
     emission = emission_operator(config, layout)
     for idx, spec in enumerate(sensors):
@@ -193,13 +190,13 @@ def build_hamiltonian(config: EmitterPairConfig, sensors) -> SparseComplexMatrix
         xi_lower = embed(sigma_minus(), site, layout)
         h = h + spec.omega_s * embed(number_op(), site, layout)
         if spec.epsilon != 0.0:
-            transfer = emission @ xi_lower.adjoint()  # atom decays, sensor excites
-            h = h + spec.epsilon * (transfer + transfer.adjoint())
+            transfer = emission @ xi_lower.conj().T  # atom decays, sensor excites
+            h = h + spec.epsilon * (transfer + transfer.conj().T)
     return h
 
 
 def build_collapse_channels(config: EmitterPairConfig, sensors):
-    """Decay channels as ``(rate, jump_operator)`` pairs.
+    """Decay channels as ``(rate, jump_operator)`` pairs, jumps dense.
 
     The atomic damping matrix ``[[1, g12], [g12, 1]]`` (units of the
     single-emitter rate) is diagonalised into the symmetric/antisymmetric
@@ -233,16 +230,17 @@ def build_collapse_channels(config: EmitterPairConfig, sensors):
     return channels
 
 
-def vectorize(hamiltonian: SparseComplexMatrix, channels) -> SparseComplexMatrix:
-    """Column-stacking superoperator for ``i [rho, H]`` plus the dissipators."""
-    dim = hamiltonian.rows
+def vectorize(hamiltonian: np.ndarray, channels) -> SparseComplexMatrix:
+    """Sparse column-stacking superoperator for ``i [rho, H]`` plus the
+    dissipators, from the dense Hamiltonian and jump operators."""
+    dim = hamiltonian.shape[0]
     ident = sp.identity(dim, dtype=np.complex128, format="csr")
-    h = hamiltonian.csr
+    h = sp.csr_matrix(hamiltonian)
     gen = 1j * (sp.kron(h.T, ident, format="csr") - sp.kron(ident, h, format="csr"))
     for rate, jump in channels:
         if rate == 0.0:
             continue
-        j = jump.csr
+        j = sp.csr_matrix(jump)
         jdj = (j.conjugate().transpose() @ j).tocsr()
         gen = gen + rate * (
             sp.kron(j.conjugate(), j, format="csr")
@@ -290,7 +288,7 @@ def build_assembly(config: EmitterPairConfig, sensors=()) -> ModelAssembly:
         return ModelAssembly(layout=layout, superoperator=base)
     h = np.zeros(layout.dimension)
     for site, spec in zip(layout.sensor_sites, sensors):
-        h = h + spec.omega_s * embed(number_op(), site, layout).csr.diagonal().real
+        h = h + spec.omega_s * embed(number_op(), site, layout).diagonal().real
     shift = sp.diags(1j * np.subtract.outer(h, h).ravel(), format="csr")
     return ModelAssembly(layout=layout, superoperator=SparseComplexMatrix(base.csr + shift))
 
@@ -411,11 +409,11 @@ class Propagator:
         out[taus == 0.0] = vec0  # exact at zero delay
         return out
 
-    def correlate(self, seed, op: SparseComplexMatrix, taus):
-        """``Tr[op exp(L tau)(seed)]`` for each tau, ``seed`` a dense operator."""
+    def correlate(self, seed, op, taus):
+        """``Tr[op exp(L tau)(seed)]`` for each tau; ``seed`` and ``op`` dense."""
         mats = self.propagate_vec(_vec(seed), taus)
         # Tr[B X] = vec_C(B) . vec_F(X), one product for every delay
-        return mats @ op.to_dense().flatten(order="C")
+        return mats @ np.ravel(op)
 
 
 def evolve(superoperator: SparseComplexMatrix, rho0: DensityMatrix, tau_grid):
@@ -425,32 +423,25 @@ def evolve(superoperator: SparseComplexMatrix, rho0: DensityMatrix, tau_grid):
     return [DensityMatrix(data=_unvec(m), residual=None) for m in mats]
 
 
-def _compose(ops, dim):
-    out = None
-    for op in ops:
-        out = op if out is None else out @ op
-    return out if out is not None else SparseComplexMatrix.identity(dim)
-
-
 def two_time_correlator(
     superoperator: SparseComplexMatrix,
     left_ops,
     right_ops,
-    mid_op: SparseComplexMatrix,
+    mid_op: np.ndarray,
     tau_grid,
     rho_ss: DensityMatrix | None = None,
 ):
     """Steady-state correlator ``<A(t) B(t+tau) C(t)>`` for ``tau >= 0``.
 
-    ``A`` is the ordered product of ``left_ops``, ``C`` of ``right_ops`` and
-    ``B = mid_op``; the quantum regression theorem gives
+    ``A`` is the ordered product of the dense ``left_ops``, ``C`` of
+    ``right_ops`` and ``B = mid_op``; the quantum regression theorem gives
     ``Tr[B exp(L tau)(C rho_ss A)]`` (:meth:`Propagator.correlate`).  The
     steady state is solved on demand when not supplied.
     """
     if rho_ss is None:
         rho_ss = steady_state(superoperator)
-    dim = rho_ss.dimension
-    a_op = _compose(list(left_ops), dim)
-    c_op = _compose(list(right_ops), dim)
-    seed = c_op @ np.asarray(rho_ss.data) @ a_op
+    ident = np.eye(rho_ss.dimension)
+    a_op = reduce(np.matmul, left_ops, ident)
+    c_op = reduce(np.matmul, right_ops, ident)
+    seed = c_op @ rho_ss.data @ a_op
     return Propagator(superoperator).correlate(seed, mid_op, tau_grid).tolist()

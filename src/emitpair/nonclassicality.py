@@ -135,8 +135,8 @@ def bell_quantifier(
     b2222 = expectation(numbers[2] @ numbers[3], rho.data) / (nb1 * nb2)
     b1221 = expectation(numbers[0] @ numbers[2], rho.data) / (na1 * nb1)
     pair_norm = np.sqrt(na1 * na2 * nb1 * nb2)
-    b1122 = expectation(a1.adjoint() @ a2.adjoint() @ b1 @ b2, rho.data) / pair_norm
-    b2211 = expectation(b2.adjoint() @ b1.adjoint() @ a2 @ a1, rho.data) / pair_norm
+    b1122 = expectation(a1.conj().T @ a2.conj().T @ b1 @ b2, rho.data) / pair_norm
+    b2211 = expectation(b2.conj().T @ b1.conj().T @ a2 @ a1, rho.data) / pair_norm
 
     numerator = b1111 + b2222 - 4.0 * b1221 - b1122 - b2211
     denominator = b1111 + b2222 + 2.0 * b1221

@@ -103,7 +103,7 @@ def _atoms_only(config):
     assembly = build_assembly(config, ())
     rho = steady_state(assembly.superoperator)
     emission = emission_operator(config, assembly.layout)
-    raising = emission.adjoint()
+    raising = emission.conj().T
     intensity = float(np.real(expectation(raising @ emission, rho.data)))
     return assembly, rho, emission, raising, intensity
 
@@ -148,9 +148,9 @@ class _FieldResolvent:
             raise ValueError("zero emitted intensity: spectrum is undefined")
         rho_vec = rho.data.flatten(order="F")
         trace = np.eye(rho.dimension).flatten(order="F")  # Tr X = trace . vec(X)
-        x = (rho.data @ raising.to_dense()).flatten(order="F")
+        x = (rho.data @ raising).flatten(order="F")
         self.intensity = intensity
-        self.covector = emission.to_dense().flatten(order="C")  # Tr[E X] = c . vec(X)
+        self.covector = np.ravel(emission)  # Tr[E X] = c . vec(X)
         self.plateau = float(np.real((self.covector @ rho_vec) * (trace @ x)))
         self.source = x - (trace @ x) * rho_vec
         self.generator = assembly.superoperator.to_dense()
@@ -277,7 +277,7 @@ def g2_unfiltered(config: EmitterPairConfig, tau_grid):
 
 
 def _sensor_readout(assembly, rho, omegas):
-    """Lowering operators, number operators and populations of the sensors.
+    """Dense lowering operators, number operators and populations of the sensors.
 
     ``omegas`` are the sensor frequencies, in site order, for the message of
     the :class:`UndefinedCorrelationError` raised when a population is below
@@ -356,12 +356,11 @@ def sensor_g2_tau(
     )
 
     prop = Propagator(assembly.superoperator)
-    rho_arr = np.asarray(rho.data)
     results = np.empty(taus.size, dtype=float)
     branches = ((taus >= 0.0, lower1, num2), (taus < 0.0, lower2, num1))
     for mask, first_lower, mid_op in branches:
         if np.any(mask):
-            seed = first_lower @ rho_arr @ first_lower.adjoint()
+            seed = first_lower @ rho.data @ first_lower.conj().T
             results[mask] = np.real(prop.correlate(seed, mid_op, np.abs(taus[mask])))
     results /= n1 * n2
 

@@ -1,9 +1,10 @@
-"""Sparse complex operator algebra for chains of two-level sites.
+"""Dense operators on chains of two-level sites, and the superoperator type.
 
-Everything downstream (Hamiltonians, jump operators, superoperators) is built
-from tensor products of 2x2 blocks embedded into a labelled chain of sites
-(atoms first, then sensors).  Matrices are immutable after assembly so they
-can be shared freely across parallel sweep workers.
+Hamiltonians, jump operators and sensor readouts are plain ``complex128``
+numpy arrays built from tensor products of 2x2 blocks embedded into a
+labelled chain of sites (atoms first, then sensors).  Two atoms and at most
+four sensors make them at most 64x64.  Only the Lindblad superoperator
+(16 to 4096 dims) is sparse, held by :class:`SparseComplexMatrix`.
 """
 
 from __future__ import annotations
@@ -26,116 +27,22 @@ __all__ = [
 
 
 class SparseComplexMatrix:
-    """Complex sparse matrix with explicit dimensions and triplet access.
+    """Superoperator as canonical complex CSR in ``csr`` (treat as read-only).
 
-    Assembly happens once, in :meth:`from_entries` (duplicate coordinates are
-    summed, exact zeros discarded).  The finished object is immutable;
-    arithmetic returns new instances.  Storage is CSR, double-precision
-    complex throughout.
+    Duplicate coordinates are summed and exact zeros discarded on
+    construction, so it can be shared freely across parallel sweep workers.
     """
 
-    __slots__ = ("rows", "cols", "_csr")
-
-    # Make numpy defer mixed ndarray (at) SparseComplexMatrix products to
-    # __rmatmul__ instead of coercing to an object array.
-    __array_ufunc__ = None
+    __slots__ = ("csr",)
 
     def __init__(self, csr: sp.csr_matrix):
         csr = sp.csr_matrix(csr, dtype=np.complex128)
         csr.eliminate_zeros()
         csr.sum_duplicates()
-        self.rows, self.cols = csr.shape
-        self._csr = csr
-
-    @classmethod
-    def from_entries(cls, rows, cols, entries):
-        """Assemble from ``(row, col, value)`` triplets; duplicates are summed."""
-        if entries:
-            r, c, v = zip(*entries)
-        else:
-            r, c, v = (), (), ()
-        coo = sp.coo_matrix(
-            (np.asarray(v, dtype=np.complex128), (r, c)), shape=(rows, cols)
-        )
-        return cls(coo.tocsr())
-
-    @classmethod
-    def identity(cls, n):
-        return cls(sp.identity(n, dtype=np.complex128, format="csr"))
-
-    @classmethod
-    def zeros(cls, rows, cols):
-        return cls(sp.csr_matrix((rows, cols), dtype=np.complex128))
-
-    @property
-    def nnz(self):
-        return int(self._csr.nnz)
-
-    @property
-    def csr(self):
-        """Underlying scipy CSR matrix (treat as read-only)."""
-        return self._csr
+        self.csr = csr
 
     def to_dense(self):
-        return self._csr.toarray()
-
-    def kron(self, other: "SparseComplexMatrix") -> "SparseComplexMatrix":
-        """Tensor product; ``self`` carries the most significant index."""
-        return SparseComplexMatrix(sp.kron(self._csr, other._csr, format="csr"))
-
-    def adjoint(self) -> "SparseComplexMatrix":
-        return SparseComplexMatrix(self._csr.conjugate().transpose().tocsr())
-
-    def hermiticity_defect(self) -> float:
-        """Largest entry of ``A - A``:sup:`dag` in magnitude."""
-        diff = (self._csr - self._csr.conjugate().transpose()).tocoo()
-        return float(np.max(np.abs(diff.data))) if diff.nnz else 0.0
-
-    def __matmul__(self, other):
-        if isinstance(other, SparseComplexMatrix):
-            if self.cols != other.rows:
-                raise ValueError(
-                    f"dimension mismatch: ({self.rows}x{self.cols}) @ "
-                    f"({other.rows}x{other.cols})"
-                )
-            return SparseComplexMatrix((self._csr @ other._csr).tocsr())
-        arr = np.asarray(other)
-        if self.cols != arr.shape[0]:
-            raise ValueError(
-                f"dimension mismatch: ({self.rows}x{self.cols}) @ {arr.shape}"
-            )
-        return self._csr @ arr
-
-    def __rmatmul__(self, other):
-        arr = np.asarray(other)
-        if arr.shape[-1] != self.rows:
-            raise ValueError(
-                f"dimension mismatch: {arr.shape} @ ({self.rows}x{self.cols})"
-            )
-        return arr @ self._csr
-
-    def __add__(self, other: "SparseComplexMatrix") -> "SparseComplexMatrix":
-        self._check_same_shape(other)
-        return SparseComplexMatrix((self._csr + other._csr).tocsr())
-
-    def __sub__(self, other: "SparseComplexMatrix") -> "SparseComplexMatrix":
-        self._check_same_shape(other)
-        return SparseComplexMatrix((self._csr - other._csr).tocsr())
-
-    def __mul__(self, scalar) -> "SparseComplexMatrix":
-        return SparseComplexMatrix((self._csr * complex(scalar)).tocsr())
-
-    __rmul__ = __mul__
-
-    def _check_same_shape(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError(
-                f"dimension mismatch: ({self.rows}x{self.cols}) vs "
-                f"({other.rows}x{other.cols})"
-            )
-
-    def __repr__(self):
-        return f"SparseComplexMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
+        return self.csr.toarray()
 
 
 @dataclass(frozen=True)
@@ -179,12 +86,17 @@ class HilbertLayout:
         return [i for i, lab in enumerate(self.site_labels) if lab == "sensor"]
 
 
+def _read_only(entries):
+    arr = np.array(entries, dtype=np.complex128)
+    arr.setflags(write=False)
+    return arr
+
+
 # Single-site blocks.  Basis convention per site: index 0 = ground, 1 = excited;
 # in tensor products the first factor is site 0 (most significant digit).
-_SIGMA_MINUS = SparseComplexMatrix.from_entries(2, 2, [(0, 1, 1.0)])
-_SIGMA_PLUS = SparseComplexMatrix.from_entries(2, 2, [(1, 0, 1.0)])
-_NUMBER = SparseComplexMatrix.from_entries(2, 2, [(1, 1, 1.0)])
-_IDENTITY2 = SparseComplexMatrix.identity(2)
+_SIGMA_MINUS = _read_only([[0.0, 1.0], [0.0, 0.0]])
+_SIGMA_PLUS = _read_only([[0.0, 0.0], [1.0, 0.0]])
+_NUMBER = _read_only([[0.0, 0.0], [0.0, 1.0]])
 
 
 def sigma_minus():
@@ -202,32 +114,41 @@ def number_op():
     return _NUMBER
 
 
-@lru_cache(maxsize=1024)
-def embed(local: SparseComplexMatrix, site, layout: HilbertLayout) -> SparseComplexMatrix:
+def embed(local, site, layout: HilbertLayout) -> np.ndarray:
     """Embed a 2x2 operator at ``site``, identity everywhere else.
 
-    Embeddings are cached per operator object, site and layout; those of the
-    single-site constants dominate model assembly in sweeps.
+    Embeddings are cached per operator value, site and layout (those of the
+    single-site constants dominate model assembly in sweeps) and returned
+    read-only, since every caller shares them.
     """
-    if local.rows != 2 or local.cols != 2:
+    local = np.asarray(local, dtype=np.complex128)
+    if local.shape != (2, 2):
         raise ValueError("local operator must be 2x2")
     if not 0 <= site < layout.site_count:
         raise ValueError(
             f"site {site} out of range for layout with {layout.site_count} sites"
         )
-    out = None
+    return _embedded(local.tobytes(), site, layout)
+
+
+@lru_cache(maxsize=1024)
+def _embedded(local_bytes, site, layout):
+    local = np.frombuffer(local_bytes, dtype=np.complex128).reshape(2, 2)
+    out = np.ones((1, 1), dtype=np.complex128)
     for i in range(layout.site_count):
-        block = local if i == site else _IDENTITY2
-        out = block if out is None else out.kron(block)
+        out = np.kron(out, local if i == site else np.eye(2))
+    out.setflags(write=False)
     return out
 
 
-def expectation(op: SparseComplexMatrix, rho) -> complex:
-    """Tr[op @ rho] for a dense density matrix ``rho``."""
+def expectation(op: np.ndarray, rho) -> complex:
+    """Tr[op @ rho] for a dense density matrix ``rho``.
+
+    Sums ``op[r, c] * rho[c, r]`` over the nonzero entries of ``op`` in
+    row-major order.
+    """
     rho = np.asarray(rho)
-    if rho.shape != (op.cols, op.rows):
-        raise ValueError(
-            f"dimension mismatch: op ({op.rows}x{op.cols}) vs rho {rho.shape}"
-        )
-    coo = op.csr.tocoo()
-    return complex(np.sum(coo.data * rho[coo.col, coo.row]))
+    if rho.shape != op.shape[::-1]:
+        raise ValueError(f"dimension mismatch: op {op.shape} vs rho {rho.shape}")
+    r, c = np.nonzero(op)
+    return complex(np.sum(op[r, c] * rho[c, r]))

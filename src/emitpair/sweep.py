@@ -197,6 +197,17 @@ _TABLE_TASKS = {
 
 
 # ---------------------------------------------------------------------------
+# JSON cells: JSON has no NaN, so the NaN cells of flagged rows are null
+
+def _json_row(row):
+    return [None if isinstance(v, float) and math.isnan(v) else v for v in row]
+
+
+def _row_from_json(row):
+    return tuple(math.nan if v is None else v for v in row)
+
+
+# ---------------------------------------------------------------------------
 # Checkpointing
 
 def _config_fingerprint(cfg: RunConfig):
@@ -214,11 +225,13 @@ def _write_checkpoint(path, fingerprint, done):
         "format": "emitpair-checkpoint",
         "version": 1,
         "config_fingerprint": fingerprint,
-        "completed": {str(i): [row, status] for i, (row, status) in done.items()},
+        "completed": {
+            str(i): [_json_row(row), status] for i, (row, status) in done.items()
+        },
     }
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+        json.dump(payload, fh, allow_nan=False)
     os.replace(tmp, path)
 
 
@@ -232,7 +245,7 @@ def _load_checkpoint(path, fingerprint):
             f"checkpoint {path} belongs to a different configuration"
         )
     return {
-        int(i): (tuple(row), status)
+        int(i): (_row_from_json(row), status)
         for i, (row, status) in payload.get("completed", {}).items()
     }
 
@@ -253,7 +266,6 @@ def run_sweep(
     workers: int | None = None,
     checkpoint_path: str | None = None,
     resume_from: str | None = None,
-    stop_after: int | None = None,
     timestamp: bool = True,
 ) -> ResultTable:
     """Execute a run configuration and return its result table.
@@ -261,9 +273,8 @@ def run_sweep(
     Grid tasks are dispatched to ``workers`` processes (default from the
     config; 0 means one per CPU) with rows emitted in grid order.  Completed
     points are checkpointed every ``cfg.checkpoint_every`` results; pass
-    ``resume_from`` to continue an interrupted sweep.  ``stop_after`` halts
-    after that many newly computed points (used to exercise resume paths) by
-    raising :class:`SweepInterrupted` after writing the checkpoint.
+    ``resume_from`` to continue an interrupted sweep.  A keyboard interrupt
+    writes the checkpoint and raises :class:`SweepInterrupted`.
     """
     start = time.monotonic()
     header = _base_header(cfg, timestamp)
@@ -288,22 +299,15 @@ def run_sweep(
     ]
     n_workers = effective_workers(cfg.task, cfg.workers if workers is None else workers)
 
-    new_done = 0
     since_checkpoint = 0
 
     def _record(index, row, status):
-        nonlocal new_done, since_checkpoint
+        nonlocal since_checkpoint
         done[index] = (row, status)
-        new_done += 1
         since_checkpoint += 1
         if since_checkpoint >= cfg.checkpoint_every:
             _write_checkpoint(ckpt, fingerprint, done)
             since_checkpoint = 0
-        if stop_after is not None and new_done >= stop_after:
-            _write_checkpoint(ckpt, fingerprint, done)
-            raise SweepInterrupted(
-                f"sweep stopped after {new_done} new points", ckpt
-            )
 
     try:
         if n_workers == 1 or len(pending) <= 1:
@@ -346,7 +350,7 @@ def _format_cell(value):
 
 
 def write_result(table: ResultTable, path, fmt="csv"):
-    """Write a table as commented-header CSV or as JSON."""
+    """Write a table as commented-header CSV or as JSON (NaN cells as null)."""
     if fmt == "csv":
         lines = ["# emitpair-result v1"]
         for key, value in table.header.items():
@@ -362,10 +366,10 @@ def write_result(table: ResultTable, path, fmt="csv"):
             "version": 1,
             "header": {k: v for k, v in table.header.items()},
             "columns": table.columns,
-            "rows": [list(row) for row in table.rows],
+            "rows": [_json_row(row) for row in table.rows],
         }
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1, default=_format_cell)
+            json.dump(payload, fh, indent=1, default=_format_cell, allow_nan=False)
             fh.write("\n")
     else:
         raise ValueError(f"unknown output format {fmt!r}")
@@ -394,7 +398,7 @@ def read_result(path) -> ResultTable:
             return ResultTable(
                 header=payload["header"],
                 columns=list(payload["columns"]),
-                rows=[tuple(row) for row in payload["rows"]],
+                rows=[_row_from_json(row) for row in payload["rows"]],
             )
         header = {}
         columns = None

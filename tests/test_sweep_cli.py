@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import emitpair as ep
+from emitpair import sweep
 from emitpair.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARTIAL, main
 from emitpair.config import load_config, parse_overrides
 from emitpair.sweep import (
@@ -37,6 +38,20 @@ count = 3
 omega2_min = -30.0
 omega2_max = -20.0
 omega2_count = 3
+"""
+
+# every point is far off resonance, so each row is flagged with NaN values
+FLAGGED_MAP = """
+[task]
+kind = g2map
+
+[grid]
+omega_min = 49000
+omega_max = 51000
+count = 2
+omega2_min = -51000
+omega2_max = -49000
+omega2_count = 2
 """
 
 
@@ -107,11 +122,7 @@ def test_g2tau_task_columns():
 
 
 def test_flagged_rows_instead_of_abort():
-    cfg = load_config(
-        "[task]\nkind = g2map\n\n"
-        "[grid]\nomega_min = 49000\nomega_max = 51000\ncount = 2\n"
-        "omega2_min = -51000\nomega2_max = -49000\nomega2_count = 2\n"
-    )
+    cfg = load_config(FLAGGED_MAP)
     table = run_sweep(cfg, timestamp=False)
     assert len(table.rows) == 4
     assert table.flagged_count == 4
@@ -181,28 +192,92 @@ def test_parallel_matches_serial(tmp_path):
     assert serial.rows == parallel.rows
 
 
-def test_interrupt_and_resume_reproduces_full_table(tmp_path):
+def _interrupt_on_call(monkeypatch, n):
+    """Make the g2map kernel raise KeyboardInterrupt on its ``n``-th call."""
+    columns, kernel = sweep._POINT_TASKS["g2map"]
+    calls = 0
+
+    def interrupting(*args):
+        nonlocal calls
+        calls += 1
+        if calls == n:
+            raise KeyboardInterrupt
+        return kernel(*args)
+
+    monkeypatch.setitem(sweep._POINT_TASKS, "g2map", (columns, interrupting))
+
+
+def test_interrupt_and_resume_reproduces_full_table(tmp_path, monkeypatch):
     cfg = load_config(SMALL_MAP, parse_overrides(["run.checkpoint_every=2"]))
     ckpt = tmp_path / "map.ckpt"
-    full = run_sweep(cfg, timestamp=False)
-    with pytest.raises(SweepInterrupted):
-        run_sweep(cfg, checkpoint_path=str(ckpt), stop_after=4, timestamp=False)
-    assert ckpt.exists()
+    full = run_sweep(cfg, workers=1, timestamp=False)
+    with monkeypatch.context() as patch:
+        _interrupt_on_call(patch, 6)
+        with pytest.raises(SweepInterrupted) as info:
+            run_sweep(cfg, workers=1, checkpoint_path=str(ckpt), timestamp=False)
+    assert info.value.checkpoint_path == str(ckpt)
+    # the interrupt saves the fifth point too, past the periodic checkpoint at four
+    assert len(json.loads(ckpt.read_text())["completed"]) == 5
     resumed = run_sweep(
-        cfg, checkpoint_path=str(ckpt), resume_from=str(ckpt), timestamp=False
+        cfg, workers=1, checkpoint_path=str(ckpt), resume_from=str(ckpt), timestamp=False
     )
     assert resumed.rows == full.rows
     assert not ckpt.exists()  # consumed on success
 
 
-def test_resume_rejects_other_config(tmp_path):
+def test_resume_rejects_other_config(tmp_path, monkeypatch):
     cfg = load_config(SMALL_MAP, parse_overrides(["run.checkpoint_every=1"]))
     ckpt = tmp_path / "x.ckpt"
+    _interrupt_on_call(monkeypatch, 3)
     with pytest.raises(SweepInterrupted):
-        run_sweep(cfg, checkpoint_path=str(ckpt), stop_after=2, timestamp=False)
+        run_sweep(cfg, workers=1, checkpoint_path=str(ckpt), timestamp=False)
     other = load_config(SMALL_MAP, parse_overrides(["emitter.rabi=25"]))
     with pytest.raises(ValueError, match="different configuration"):
         run_sweep(other, resume_from=str(ckpt), timestamp=False)
+
+
+def _strict_json(text):
+    """Parse standard JSON only: NaN and Infinity tokens raise."""
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_flagged_rows_are_strict_json(tmp_path):
+    cfg = load_config(FLAGGED_MAP)
+    table = run_sweep(cfg, timestamp=False)
+    path = tmp_path / "flagged.json"
+    write_result(table, path, "json")
+
+    payload = _strict_json(path.read_text())
+    assert all(row[2] is None for row in payload["rows"])
+    reloaded = read_result(path)
+    assert [row[:2] + row[3:] for row in reloaded.rows] == [
+        row[:2] + row[3:] for row in table.rows
+    ]
+    assert all(math.isnan(row[2]) for row in reloaded.rows)
+
+
+def test_checkpoint_with_flagged_row_resumes(tmp_path, monkeypatch):
+    cfg = load_config(FLAGGED_MAP, parse_overrides(["run.checkpoint_every=1"]))
+    ckpt = tmp_path / "flagged.ckpt"
+    with monkeypatch.context() as patch:
+        _interrupt_on_call(patch, 3)
+        with pytest.raises(SweepInterrupted):
+            run_sweep(cfg, workers=1, checkpoint_path=str(ckpt), timestamp=False)
+    payload = _strict_json(ckpt.read_text())
+    assert [row for row, _ in payload["completed"].values()] == [
+        [49000.0, -51000.0, None],
+        [49000.0, -49000.0, None],
+    ]
+    resumed = run_sweep(
+        cfg, workers=1, checkpoint_path=str(ckpt), resume_from=str(ckpt), timestamp=False
+    )
+    assert resumed.flagged_count == 4
+    assert all(math.isnan(row[2]) for row in resumed.rows)
+    assert not ckpt.exists()
 
 
 def test_effective_workers_bell_cap():
