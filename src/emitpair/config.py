@@ -1,6 +1,7 @@
 """Run configuration: INI-style files with sections, validation and presets.
 
-Grammar (all keys optional unless noted; unknown keys are rejected):
+Grammar (all keys optional unless noted; unknown keys, keys the task does not
+use and numbers that are not finite are rejected):
 
     [emitter]
     atoms = 2                    # 1 or 2
@@ -51,6 +52,7 @@ configuration at load time and echoed numerically.
 from __future__ import annotations
 
 import configparser
+import functools
 import io
 import math
 from dataclasses import dataclass, field
@@ -64,31 +66,6 @@ __all__ = ["ConfigError", "RunConfig", "load_config", "parse_overrides"]
 TASKS = ("spectrum", "g2map", "g2tau", "csi", "bell", "dressed")
 
 _DEFAULT_COUNTS = {"spectrum": 401, "g2map": 101, "csi": 81, "bell": 81}
-
-_ALLOWED_KEYS = {
-    "emitter": {
-        "atoms",
-        "kr12",
-        "cos_theta12",
-        "rabi",
-        "laser_direction",
-        "detection_direction",
-        "force_independent",
-    },
-    "sensors": {"linewidth", "epsilon"},
-    "task": {"kind", "method", "omega1", "omega2", "line_sum"},
-    "grid": {
-        "omega_min",
-        "omega_max",
-        "count",
-        "omega2_min",
-        "omega2_max",
-        "omega2_count",
-    },
-    "tau": {"min", "max", "count"},
-    "output": {"path", "format"},
-    "run": {"workers", "checkpoint_every"},
-}
 
 
 class ConfigError(ValueError):
@@ -121,66 +98,102 @@ def _err(path, message):
     raise ConfigError(f"{path}: {message}")
 
 
-def _get_float(section, sect_name, key, default=None):
-    raw = section.get(key)
-    if raw is None:
-        return default
+def _number(raw, kind=float):
+    """A finite ``float`` (or ``int``) from config text."""
     try:
-        return float(raw)
+        value = kind(raw)
     except ValueError:
-        _err(f"{sect_name}.{key}", f"not a number: {raw!r}")
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"not {noun}: {raw!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return value
 
 
-def _get_int(section, sect_name, key, default=None):
-    raw = section.get(key)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        _err(f"{sect_name}.{key}", f"not an integer: {raw!r}")
+_integer = functools.partial(_number, kind=int)
 
 
-def _get_bool(section, sect_name, key, default=False):
-    raw = section.get(key)
-    if raw is None:
-        return default
-    lowered = raw.strip().lower()
-    if lowered in ("true", "yes", "on", "1"):
-        return True
-    if lowered in ("false", "no", "off", "0"):
-        return False
-    _err(f"{sect_name}.{key}", f"not a boolean: {raw!r}")
-
-
-def _get_vector(section, sect_name, key, default):
-    raw = section.get(key)
-    if raw is None:
-        return default
-    parts = [p.strip() for p in raw.split(",")]
+def _vector(raw):
+    parts = raw.split(",")
     if len(parts) != 3:
-        _err(f"{sect_name}.{key}", f"expected three comma-separated numbers: {raw!r}")
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError:
-        _err(f"{sect_name}.{key}", f"not a numeric vector: {raw!r}")
+        raise ValueError(f"expected three comma-separated numbers: {raw!r}")
+    return tuple(_number(p) for p in parts)
 
 
-def _resolve_frequency(token, triplet, path):
-    """A float, or a signed dressed-gap name (d12/d23/d13), or 0."""
+_TRUE, _FALSE = ("true", "yes", "on", "1"), ("false", "no", "off", "0")
+
+
+def _boolean(raw):
+    text = raw.strip().lower()
+    if text not in _TRUE + _FALSE:
+        raise ValueError(f"not a boolean: {raw!r}")
+    return text in _TRUE
+
+
+def _word(raw):
+    return raw.strip().lower()
+
+
+def _frequency(token, triplet):
+    """A number, or a signed dressed-gap name (d12/d23/d13)."""
     text = token.strip().lower()
-    sign = 1.0
+    sign = -1.0 if text.startswith("-") else 1.0
     if text.startswith(("+", "-")):
-        if text[0] == "-":
-            sign = -1.0
         text = text[1:]
     gaps = {"d12": triplet.d12, "d13": triplet.d13, "d23": triplet.d23}
     if text in gaps:
         return sign * gaps[text]
     try:
-        return sign * float(text)
-    except ValueError:
-        _err(path, f"not a frequency (number or signed d12/d13/d23): {token!r}")
+        return sign * _number(text)
+    except ValueError as exc:
+        raise ValueError(f"{exc}, nor a signed d12/d13/d23") from None
+
+
+def _choice(options):
+    return (lambda v: v in options, f"must be one of {'/'.join(map(str, options))}")
+
+
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_TWO_POINTS = (lambda v: v >= 2, "need at least 2 points")
+_GRID_TASKS = tuple(_DEFAULT_COUNTS)
+_FULL_MAPS = ("g2map", "csi")  # csi only without task.line_sum; see load_config
+
+# The grammar, one entry per key: parser (config text -> value), default,
+# (check, message) or None, and the tasks that use the key (None: every task).
+# The order is the echo's, and so the result header's; task.kind precedes every
+# entry that names tasks.  A None default is filled in by load_config from the
+# task and the emitter, or leaves an optional key unset.
+_KEYS = {
+    "emitter.atoms": (_integer, 2, _choice((1, 2)), None),
+    "emitter.kr12": (_number, 0.05, _POSITIVE, None),
+    "emitter.cos_theta12": (
+        _number, 1.0 / math.sqrt(3.0), (lambda v: abs(v) <= 1.0, "must lie in [-1, 1]"), None
+    ),
+    "emitter.rabi": (_number, 30.0, (lambda v: v >= 0, "must be nonnegative"), None),
+    "emitter.laser_direction": (_vector, (0.0, 0.0, 1.0), None, None),
+    "emitter.detection_direction": (_vector, (0.0, 0.0, 1.0), None, None),
+    "emitter.force_independent": (_boolean, False, None, None),
+    "sensors.linewidth": (_number, 1.0, _POSITIVE, None),
+    "sensors.epsilon": (_number, 1e-4, _POSITIVE, None),
+    "task.kind": (_word, "spectrum", _choice(TASKS), None),
+    "task.method": (_word, "fourier", _choice(("fourier", "sensor")), ("spectrum",)),
+    "task.omega1": (str, None, None, ("g2tau",)),
+    "task.omega2": (str, None, None, ("g2tau",)),
+    "task.line_sum": (str, None, None, ("csi", "bell")),
+    "grid.omega_min": (_number, None, None, _GRID_TASKS),
+    "grid.omega_max": (_number, None, None, _GRID_TASKS),
+    "grid.count": (_integer, None, _TWO_POINTS, _GRID_TASKS),
+    "grid.omega2_min": (_number, None, None, _FULL_MAPS),
+    "grid.omega2_max": (_number, None, None, _FULL_MAPS),
+    "grid.omega2_count": (_integer, None, _TWO_POINTS, _FULL_MAPS),
+    "tau.min": (_number, -3.0, None, ("g2tau",)),
+    "tau.max": (_number, 3.0, None, ("g2tau",)),
+    "tau.count": (_integer, 121, (lambda v: v >= 1, "need at least 1 point"), ("g2tau",)),
+    "output.path": (str, "result.csv", None, None),
+    "output.format": (_word, "csv", _choice(("csv", "json")), None),
+    "run.workers": (_integer, 1, (lambda v: v >= 0, "must be >= 0 (0 = auto)"), None),
+    "run.checkpoint_every": (_integer, 500, (lambda v: v >= 1, "must be >= 1"), None),
+}
 
 
 def parse_overrides(pairs):
@@ -197,6 +210,24 @@ def parse_overrides(pairs):
         sect, key = key_path.split(".", 1)
         out.setdefault(sect.strip(), {})[key.strip()] = value.strip()
     return out
+
+
+def _parse(path, parse, *args):
+    try:
+        return parse(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _axis(values, keys, defaults, strict=True):
+    """Fill unset (min, max, count) keys; reject min > max, or min == max if strict."""
+    for path, default in zip(keys, defaults):
+        if values[path] is None:
+            values[path] = default
+    lo, hi, count = (values[path] for path in keys)
+    if lo > hi or (strict and lo == hi):
+        _err(keys[0], f"empty range [{lo}, {hi}]")
+    return lo, hi, count
 
 
 def load_config(source, overrides=None) -> RunConfig:
@@ -223,197 +254,99 @@ def load_config(source, overrides=None) -> RunConfig:
     for sect, values in (overrides or {}).items():
         data.setdefault(sect, {}).update(values)
 
-    for sect, values in data.items():
-        if sect not in _ALLOWED_KEYS:
+    sections = {path.split(".")[0] for path in _KEYS}
+    for sect, keys in data.items():
+        if sect not in sections:
             _err(sect, "unknown section")
-        for key in values:
-            if key not in _ALLOWED_KEYS[sect]:
+        for key in keys:
+            if f"{sect}.{key}" not in _KEYS:
                 _err(f"{sect}.{key}", "unknown key")
 
-    em = data.get("emitter", {})
-    atoms = _get_int(em, "emitter", "atoms", 2)
-    if atoms not in (1, 2):
-        _err("emitter.atoms", f"must be 1 or 2, got {atoms}")
-    kr12 = _get_float(em, "emitter", "kr12", 0.05)
-    if kr12 is not None and kr12 <= 0:
-        _err("emitter.kr12", f"must be positive, got {kr12}")
-    cos_theta = _get_float(em, "emitter", "cos_theta12", 1.0 / math.sqrt(3.0))
-    if abs(cos_theta) > 1.0:
-        _err("emitter.cos_theta12", f"must lie in [-1, 1], got {cos_theta}")
-    rabi = _get_float(em, "emitter", "rabi", 30.0)
-    if rabi < 0:
-        _err("emitter.rabi", f"must be nonnegative, got {rabi}")
-    laser_dir = _get_vector(em, "emitter", "laser_direction", (0.0, 0.0, 1.0))
-    det_dir = _get_vector(em, "emitter", "detection_direction", (0.0, 0.0, 1.0))
-    force_ind = _get_bool(em, "emitter", "force_independent", False)
+    values = dict.fromkeys(_KEYS)  # a key the task does not use stays None
+    for path, (parse, default, check, tasks) in _KEYS.items():
+        sect, key = path.split(".")
+        raw = data.get(sect, {}).get(key)
+        if tasks is not None and values["task.kind"] not in tasks:
+            if raw is not None:
+                _err(path, f"not used by the {values['task.kind']} task")
+        elif raw is None:
+            values[path] = default
+        else:
+            values[path] = _parse(path, parse, raw)
+            if check is not None and not check[0](values[path]):
+                _err(path, f"{check[1]}, got {values[path]!r}")
+
+    task = values["task.kind"]
     try:
         emitter = EmitterPairConfig(
-            kr12=kr12,
-            cos_theta12=cos_theta,
-            rabi=rabi,
-            laser_direction=laser_dir,
-            detection_direction=det_dir,
-            atom_count=atoms,
-            force_independent=force_ind,
+            kr12=values["emitter.kr12"],
+            cos_theta12=values["emitter.cos_theta12"],
+            rabi=values["emitter.rabi"],
+            laser_direction=values["emitter.laser_direction"],
+            detection_direction=values["emitter.detection_direction"],
+            atom_count=values["emitter.atoms"],
+            force_independent=values["emitter.force_independent"],
         )
-    except ValueError as exc:
+        triplet = dressed_triplet(emitter, effective_coefficients(emitter))
+    except (ArithmeticError, ValueError) as exc:
         raise ConfigError(f"emitter: {exc}") from exc
+    # the directions are echoed normalized
+    values["emitter.laser_direction"] = ",".join(map(repr, emitter.laser_direction))
+    values["emitter.detection_direction"] = ",".join(map(repr, emitter.detection_direction))
 
-    sens = data.get("sensors", {})
-    linewidth = _get_float(sens, "sensors", "linewidth", 1.0)
-    if linewidth <= 0:
-        _err("sensors.linewidth", f"must be positive, got {linewidth}")
-    epsilon = _get_float(sens, "sensors", "epsilon", 1e-4)
-    if epsilon <= 0:
-        _err("sensors.epsilon", f"must be positive, got {epsilon}")
+    # g2tau needs both frequencies, bell its line; csi maps the full plane without one
+    for path in ("task.omega1", "task.omega2", "task.line_sum"):
+        if values[path] is not None:
+            values[path] = _parse(path, _frequency, values[path], triplet)
+        elif task in ("g2tau", "bell") and task in _KEYS[path][3]:
+            _err(path, f"required for the {task} task")
 
-    task_sect = data.get("task", {})
-    task = task_sect.get("kind", "spectrum").strip().lower()
-    if task not in TASKS:
-        _err("task.kind", f"must be one of {'/'.join(TASKS)}, got {task!r}")
-
-    method = None
-    if task == "spectrum":
-        method = task_sect.get("method", "fourier").strip().lower()
-        if method not in ("fourier", "sensor"):
-            _err("task.method", f"must be fourier or sensor, got {method!r}")
-    elif "method" in task_sect:
-        _err("task.method", f"only valid for the spectrum task, not {task}")
-
-    triplet = dressed_triplet(emitter, effective_coefficients(emitter))
-
-    omega1 = omega2 = None
-    if task == "g2tau":
-        for key in ("omega1", "omega2"):
-            if key not in task_sect:
-                _err(f"task.{key}", "required for the g2tau task")
-        omega1 = _resolve_frequency(task_sect["omega1"], triplet, "task.omega1")
-        omega2 = _resolve_frequency(task_sect["omega2"], triplet, "task.omega2")
-    elif "omega1" in task_sect or "omega2" in task_sect:
-        _err("task.omega1", "only valid for the g2tau task")
-
-    line_sum = None
-    if "line_sum" in task_sect:
-        if task not in ("csi", "bell"):
-            _err("task.line_sum", "only valid for csi and bell tasks")
-        line_sum = _resolve_frequency(task_sect["line_sum"], triplet, "task.line_sum")
-
-    grid = data.get("grid", {})
-    omega_axis = omega2_axis = None
-    if task in ("spectrum", "g2map", "csi", "bell"):
+    omega_axis = omega2_axis = tau_axis = None
+    if task in _DEFAULT_COUNTS:
         half = triplet.spectrum_window
-        omega_min = _get_float(grid, "grid", "omega_min", -half)
-        omega_max = _get_float(grid, "grid", "omega_max", half)
-        count = _get_int(grid, "grid", "count", _DEFAULT_COUNTS[task])
-        if omega_min >= omega_max:
-            _err("grid.omega_min", f"empty range [{omega_min}, {omega_max}]")
-        if count < 2:
-            _err("grid.count", f"need at least 2 points, got {count}")
-        omega_axis = (omega_min, omega_max, count)
-        if task in ("g2map",) or (task == "csi" and line_sum is None):
-            omega2_min = _get_float(grid, "grid", "omega2_min", omega_min)
-            omega2_max = _get_float(grid, "grid", "omega2_max", omega_max)
-            omega2_count = _get_int(grid, "grid", "omega2_count", count)
-            if omega2_min >= omega2_max:
-                _err("grid.omega2_min", f"empty range [{omega2_min}, {omega2_max}]")
-            if omega2_count < 2:
-                _err("grid.omega2_count", f"need at least 2 points, got {omega2_count}")
-            omega2_axis = (omega2_min, omega2_max, omega2_count)
-        if task == "bell" and line_sum is None:
-            _err("task.line_sum", "required for the bell task (maps are per-line)")
-    elif grid:
-        _err("grid", f"grid section is not used by the {task} task")
-
-    tau_sect = data.get("tau", {})
-    tau_axis = None
+        omega_axis = _axis(
+            values,
+            ("grid.omega_min", "grid.omega_max", "grid.count"),
+            (-half, half, _DEFAULT_COUNTS[task]),
+        )
+        omega2_keys = ("grid.omega2_min", "grid.omega2_max", "grid.omega2_count")
+        if task == "g2map" or (task == "csi" and values["task.line_sum"] is None):
+            omega2_axis = _axis(values, omega2_keys, omega_axis)
+        for path in omega2_keys:
+            if omega2_axis is None and values[path] is not None:
+                _err(path, f"not used by the {task} task on a line")
     if task == "g2tau":
-        tau_min = _get_float(tau_sect, "tau", "min", -3.0)
-        tau_max = _get_float(tau_sect, "tau", "max", 3.0)
-        tau_count = _get_int(tau_sect, "tau", "count", 121)
-        if tau_min > tau_max:
-            _err("tau.min", f"empty range [{tau_min}, {tau_max}]")
-        if tau_count < 1:
-            _err("tau.count", f"need at least 1 point, got {tau_count}")
-        tau_axis = (tau_min, tau_max, tau_count)
-    elif tau_sect:
-        _err("tau", f"tau section is only used by the g2tau task, not {task}")
+        tau_axis = _axis(values, ("tau.min", "tau.max", "tau.count"), (), strict=False)
 
-    out = data.get("output", {})
-    output_path = out.get("path", "result.csv")
-    output_format = out.get("format", "csv").strip().lower()
-    if output_format not in ("csv", "json"):
-        _err("output.format", f"must be csv or json, got {output_format!r}")
-
-    run = data.get("run", {})
-    workers = _get_int(run, "run", "workers", 1)
-    if workers < 0:
-        _err("run.workers", f"must be >= 0 (0 = auto), got {workers}")
-    checkpoint_every = _get_int(run, "run", "checkpoint_every", 500)
-    if checkpoint_every < 1:
-        _err("run.checkpoint_every", f"must be >= 1, got {checkpoint_every}")
-
-    echo = {
-        "emitter.atoms": atoms,
-        "emitter.kr12": kr12,
-        "emitter.cos_theta12": cos_theta,
-        "emitter.rabi": rabi,
-        "emitter.laser_direction": ",".join(repr(v) for v in emitter.laser_direction),
-        "emitter.detection_direction": ",".join(
-            repr(v) for v in emitter.detection_direction
-        ),
-        "emitter.force_independent": force_ind,
-        "sensors.linewidth": linewidth,
-        "sensors.epsilon": epsilon,
-        "task.kind": task,
-        "dressed.d12": triplet.d12,
-        "dressed.d23": triplet.d23,
-        "dressed.d13": triplet.d13,
-    }
-    if method is not None:
-        echo["task.method"] = method
-    if omega1 is not None:
-        echo["task.omega1"] = omega1
-        echo["task.omega2"] = omega2
-    if line_sum is not None:
-        echo["task.line_sum"] = line_sum
-    if omega_axis is not None:
-        echo["grid.omega_min"], echo["grid.omega_max"], echo["grid.count"] = omega_axis
-    if omega2_axis is not None:
-        (
-            echo["grid.omega2_min"],
-            echo["grid.omega2_max"],
-            echo["grid.omega2_count"],
-        ) = omega2_axis
-    if tau_axis is not None:
-        echo["tau.min"], echo["tau.max"], echo["tau.count"] = tau_axis
-    echo["output.path"] = output_path
-    echo["output.format"] = output_format
-    echo["run.workers"] = workers
-    echo["run.checkpoint_every"] = checkpoint_every
+    echo = {}
+    for path, value in values.items():
+        if value is not None:
+            echo[path] = value
+        if path == "task.kind":
+            echo["dressed.d12"] = triplet.d12
+            echo["dressed.d23"] = triplet.d23
+            echo["dressed.d13"] = triplet.d13
 
     return RunConfig(
         emitter=emitter,
-        sensor_linewidth=linewidth,
-        epsilon=epsilon,
+        sensor_linewidth=values["sensors.linewidth"],
+        epsilon=values["sensors.epsilon"],
         task=task,
-        method=method,
-        omega1=omega1,
-        omega2=omega2,
-        line_sum=line_sum,
+        method=values["task.method"],
+        omega1=values["task.omega1"],
+        omega2=values["task.omega2"],
+        line_sum=values["task.line_sum"],
         omega_axis=omega_axis,
         omega2_axis=omega2_axis,
         tau_axis=tau_axis,
-        output_path=output_path,
-        output_format=output_format,
-        workers=workers,
-        checkpoint_every=checkpoint_every,
+        output_path=values["output.path"],
+        output_format=values["output.format"],
+        workers=values["run.workers"],
+        checkpoint_every=values["run.checkpoint_every"],
         echo=echo,
     )
 
 
 def axis_points(axis):
     """Materialize an (min, max, count) axis as a float array."""
-    lo, hi, count = axis
-    if count == 1:
-        return np.array([lo])
-    return np.linspace(lo, hi, count)
+    return np.linspace(*axis)

@@ -375,9 +375,10 @@ class Propagator:
     eigenvectors coalesce (an exceptional point), so the eigenbasis is kept
     only while the LAPACK estimate of ``cond1(V)`` from its LU factors stays
     at most ``EIGENBASIS_CONDITION_LIMIT``.  A larger generator, or a worse
-    conditioned one, takes one sparse matrix-exponential action per delay
-    (Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 488 (2011)), accurate to
-    rounding.  Zero delay returns the input exactly on both routes.
+    conditioned one, steps through the sorted delays, each by one sparse
+    matrix-exponential action from the last (Al-Mohy and Higham, SIAM J. Sci.
+    Comput. 33, 488 (2011)), accurate to rounding.  Zero delay returns the
+    input exactly on both routes.
     """
 
     def __init__(self, superoperator: SparseComplexMatrix):
@@ -403,9 +404,14 @@ class Propagator:
             phases = np.exp(np.outer(self._w, taus))
             out = (self._v @ (phases * coeff[:, None])).T
         else:
+            # step through the sorted delays; an equal delay reuses its row
             out = np.empty((taus.size, vec0.size), dtype=np.complex128)
-            for i, tau in enumerate(taus):
-                out[i] = spla.expm_multiply(self._gen * tau, vec0)
+            vec, prev = vec0, 0.0
+            for i in np.argsort(taus, kind="stable"):
+                if taus[i] != prev:
+                    vec = spla.expm_multiply(self._gen * (taus[i] - prev), vec)
+                    prev = taus[i]
+                out[i] = vec
         out[taus == 0.0] = vec0  # exact at zero delay
         return out
 

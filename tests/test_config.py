@@ -189,3 +189,78 @@ def test_output_and_run_sections():
     assert cfg.checkpoint_every == 10
     with pytest.raises(ConfigError, match=r"output\.format"):
         load_config("[task]\nkind = dressed\n\n[output]\nformat = hdf5\n")
+
+
+@pytest.mark.parametrize(
+    "text, path",
+    [
+        ("[emitter]\nrabi = nan\n", r"emitter\.rabi"),
+        ("[sensors]\nlinewidth = nan\n", r"sensors\.linewidth"),
+        ("[grid]\nomega_min = nan\n", r"grid\.omega_min"),
+        ("[emitter]\nkr12 = inf\n", r"emitter\.kr12"),
+        ("[emitter]\nlaser_direction = 0,nan,1\n", r"emitter\.laser_direction"),
+        ("[task]\nkind = g2tau\nomega1 = nan\nomega2 = d12\n", r"task\.omega1"),
+    ],
+)
+def test_non_finite_numbers_rejected(text, path):
+    with pytest.raises(ConfigError, match=path + ": not a finite number"):
+        load_config(text)
+
+
+@pytest.mark.parametrize(
+    "text, path",
+    [
+        ("[task]\nkind = spectrum\n\n[grid]\nomega2_count = 5\n", r"grid\.omega2_count"),
+        ("[task]\nkind = csi\nline_sum = 0\n\n[grid]\nomega2_min = -5\n", r"grid\.omega2_min"),
+        ("[task]\nkind = bell\nline_sum = 0\n\n[grid]\nomega2_max = 5\n", r"grid\.omega2_max"),
+    ],
+)
+def test_second_axis_only_for_full_maps(text, path):
+    with pytest.raises(ConfigError, match=path + ": not used"):
+        load_config(text)
+
+
+@pytest.mark.parametrize("override", ["emitter.rabi=1e200", "emitter.kr12=1e-200"])
+def test_overflowing_emitter_is_a_config_error(override):
+    # the dressed triplet overflows; that is bad input, not a crash
+    with pytest.raises(ConfigError, match="emitter"):
+        load_config(PAIR_SPECTRUM, parse_overrides([override]))
+
+
+_HEAD = [
+    "emitter.atoms",
+    "emitter.kr12",
+    "emitter.cos_theta12",
+    "emitter.rabi",
+    "emitter.laser_direction",
+    "emitter.detection_direction",
+    "emitter.force_independent",
+    "sensors.linewidth",
+    "sensors.epsilon",
+    "task.kind",
+    "dressed.d12",
+    "dressed.d23",
+    "dressed.d13",
+]
+_GRID = ["grid.omega_min", "grid.omega_max", "grid.count"]
+_GRID2 = ["grid.omega2_min", "grid.omega2_max", "grid.omega2_count"]
+_TAIL = ["output.path", "output.format", "run.workers", "run.checkpoint_every"]
+
+
+@pytest.mark.parametrize(
+    "task, keys",
+    [
+        ("kind = spectrum\nmethod = fourier", ["task.method"] + _GRID),
+        ("kind = spectrum\nmethod = sensor", ["task.method"] + _GRID),
+        ("kind = g2map", _GRID + _GRID2),
+        ("kind = g2tau\nomega1 = d13\nomega2 = -d23",
+         ["task.omega1", "task.omega2", "tau.min", "tau.max", "tau.count"]),
+        ("kind = csi", _GRID + _GRID2),
+        ("kind = csi\nline_sum = 0", ["task.line_sum"] + _GRID),
+        ("kind = bell\nline_sum = d12", ["task.line_sum"] + _GRID),
+        ("kind = dressed", []),
+    ],
+)
+def test_echo_order_is_the_header_order(task, keys):
+    # the echo's order is the result header's, so it is part of the file format
+    assert list(load_config(f"[task]\n{task}\n").echo) == _HEAD + keys + _TAIL

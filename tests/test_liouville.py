@@ -427,7 +427,7 @@ def test_propagator_rejects_negative_taus_and_keeps_grid_order():
         seed = vec_f(emission @ np.asarray(rho.data) @ emission.conj().T)
         with pytest.raises(ValueError):
             prop.propagate_vec(seed, [-1.0, 0.5])
-        taus = np.array([2.0, 0.0, 0.5, 3.0, 1.0])
+        taus = np.array([2.0, 0.0, 0.5, 3.0, 1.0, 0.5])
         order = np.argsort(taus)
         unsorted = prop.propagate_vec(seed, taus)
         np.testing.assert_allclose(

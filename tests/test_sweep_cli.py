@@ -336,6 +336,11 @@ def test_cli_bad_override_is_config_error(capsys):
     assert "emitter.kr12" in capsys.readouterr().err
 
 
+def test_cli_non_finite_override_is_config_error(capsys):
+    assert main(["validate", "fig1b", "--set", "emitter.kr12=inf"]) == EXIT_CONFIG
+    assert "config error: emitter.kr12" in capsys.readouterr().err
+
+
 def test_cli_run_small_map(tmp_path, capsys):
     cfg_file = tmp_path / "small.cfg"
     cfg_file.write_text(SMALL_MAP)
