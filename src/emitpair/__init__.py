@@ -9,7 +9,7 @@ engine (:mod:`emitpair.liouville`), physical observables
 (:mod:`emitpair.config`, :mod:`emitpair.sweep`, :mod:`emitpair.cli`).
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .dipole import (
     CollectiveModes,

@@ -37,13 +37,16 @@ _PERP_DEFAULT = (0.0, 0.0, 1.0)  # perpendicular to the interatomic (x) axis
 
 
 def _unit_vector(v, name):
+    """``v / |v|``, scaled by its largest component first so that the norm
+    neither overflows nor underflows for any finite nonzero ``v``."""
     arr = np.asarray(v, dtype=float)
     if arr.shape != (3,):
         raise ValueError(f"{name} must be a 3-vector")
-    norm = float(np.linalg.norm(arr))
-    if norm < 1e-300:
-        raise ValueError(f"{name} must be nonzero")
-    return tuple(float(v) for v in arr / norm)
+    largest = float(np.max(np.abs(arr)))
+    if not 0.0 < largest < math.inf:
+        raise ValueError(f"{name} must be finite and nonzero")
+    arr = arr / largest
+    return tuple(float(v) for v in arr / np.linalg.norm(arr))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ The density matrix of atoms plus sensor detectors evolves under a Lindblad
 generator built from three pieces: the driven-pair Hamiltonian with coherent
 excitation exchange, collective decay channels obtained by diagonalising the
 2x2 damping matrix (symmetric and antisymmetric modes with rates
-``1 +- gamma12``), and one decay channel per sensor.
+``1 +- gamma12``), and one decay channel per sensor.  :class:`SensorBlocks`
+takes the limit of vanishing sensor coupling instead, with linear solves on
+the atoms-only generator.
 
 Vectorisation is column-stacking throughout: ``vec(rho)`` concatenates the
 columns of ``rho`` (Fortran order), so ``vec(A rho B) = (B^T kron A) vec(rho)``
@@ -54,6 +56,7 @@ __all__ = [
     "vectorize",
     "build_assembly",
     "steady_state",
+    "SensorBlocks",
     "evolve",
     "Propagator",
     "two_time_correlator",
@@ -364,6 +367,84 @@ def steady_state(superoperator: SparseComplexMatrix, tol: float = 1e-8) -> Densi
             f"(condition estimate {cond:.3e})"
         )
     return DensityMatrix(data=rho, residual=residual)
+
+
+# relative residual bound on every leading-order sensor block solve
+_BLOCK_RESIDUAL_TOL = 1e-10
+
+
+class SensorBlocks:
+    """Steady-state sensor moments at leading order in the sensor coupling.
+
+    Label the number states of the sensors by bitmasks (bit ``s`` set when
+    sensor ``s`` is excited).  The atomic block ``rho_ab = <a|rho|b>`` of the
+    full steady state is of order ``epsilon**(|a| + |b|)``, and at leading
+    order (``epsilon = 1``; it cancels from every normalised output)
+    ``rho_00`` is the atomic steady state and every other block solves
+
+        (z_ab - L_A) rho_ab = -i sum_{s in a} E rho_{a-s,b}
+                              + i sum_{s in b} rho_{a,b-s} E^dag
+
+    on the 16-dim atomic generator ``L_A``, with ``E`` the emission operator
+    and ``z_ab = i (omega.a - omega.b) + (linewidth.a + linewidth.b) / 2``
+    (del Valle et al., PRL 109, 183601 (2012); Holdaway, Notararigo and
+    Olaya-Castro, PRA 98, 063828 (2018)).  Each solve is regular, since
+    ``Re z > 0`` and the spectrum of ``L_A`` has ``Re <= 0``.  Blocks are
+    solved on demand and memoised, with ``rho_ba = rho_ab^dag``; each must
+    leave a relative residual ``||(z - L_A) x - s|| / ||s||`` of at most
+    ``_BLOCK_RESIDUAL_TOL``, or :class:`SolverError` is raised.  The sensors'
+    ``epsilon`` is not used; the finite-coupling model of
+    :func:`build_assembly` with the same sensors is the oracle.
+    """
+
+    def __init__(self, config: EmitterPairConfig, sensors):
+        assembly = build_assembly(config, ())
+        self._generator = assembly.superoperator.to_dense()
+        self._emission = emission_operator(config, assembly.layout)
+        self._sensors = tuple(sensors)
+        self._blocks = {(0, 0): steady_state(assembly.superoperator).data}
+
+    def moment(self, a: int, b: int) -> complex:
+        """``Tr rho_ab``: the leading-order moment ``<X_b^dag X_a>``, where
+        ``X_a`` is the product of the lowering operators of the sensors in
+        ``a``.  So ``moment(m, m)`` is the joint population of the sensors in
+        ``m``."""
+        return complex(np.trace(self.block(a, b)))
+
+    def block(self, a: int, b: int) -> np.ndarray:
+        """The atomic block ``rho_ab`` (read-only, shared)."""
+        if a < b:
+            return self.block(b, a).conj().T
+        found = self._blocks.get((a, b))
+        if found is None:
+            found = self._blocks[(a, b)] = self._solve(a, b)
+        return found
+
+    def _solve(self, a, b):
+        emission = self._emission
+        source = np.zeros_like(emission)
+        z = 0.0
+        for s, spec in enumerate(self._sensors):
+            bit = 1 << s
+            if a & bit:
+                source -= 1j * (emission @ self.block(a ^ bit, b))
+                z += 1j * spec.omega_s + 0.5 * spec.linewidth
+            if b & bit:
+                source += 1j * (self.block(a, b ^ bit) @ emission.conj().T)
+                z += -1j * spec.omega_s + 0.5 * spec.linewidth
+        rhs = _vec(source)
+        shifted = z * np.eye(rhs.size) - self._generator
+        x = np.linalg.solve(shifted, rhs)
+        residual = float(np.linalg.norm(shifted @ x - rhs))
+        scale = float(np.linalg.norm(rhs))
+        if not residual <= _BLOCK_RESIDUAL_TOL * scale:
+            raise SolverError(
+                f"sensor block ({a}, {b}) residual {residual:.3e} exceeds "
+                f"{_BLOCK_RESIDUAL_TOL:.1e} of the source norm {scale:.3e}"
+            )
+        block = _unvec(x)
+        block.setflags(write=False)
+        return block
 
 
 class Propagator:

@@ -287,13 +287,19 @@ def _sensor_readout(assembly, rho, omegas):
     lowers = [embed(sigma_minus(), site, layout) for site in layout.sensor_sites]
     numbers = [embed(number_op(), site, layout) for site in layout.sensor_sites]
     pops = [float(np.real(expectation(n, rho.data))) for n in numbers]
+    _check_populations(pops, omegas)
+    return lowers, numbers, pops
+
+
+def _check_populations(pops, omegas):
+    """Raise :class:`UndefinedCorrelationError` if a sensor population is
+    below ``POPULATION_FLOOR``; ``omegas`` name the sensors in the message."""
     for pop, omega in zip(pops, omegas):
         if pop < POPULATION_FLOOR:
             raise UndefinedCorrelationError(
                 f"sensor population {pop:.3e} at omega = {omega} is below "
                 f"{POPULATION_FLOOR:.0e}; correlation undefined"
             )
-    return lowers, numbers, pops
 
 
 def sensor_g2(

@@ -69,10 +69,13 @@ class ResultTable:
 
 
 def effective_workers(task, requested):
-    """Resolve the worker count; four-sensor solves are memory-capped.
+    """Resolve the worker count; Bell sweeps use at most half the CPUs.
 
     ``requested = 0`` means one worker per CPU this process may run on (its
-    affinity set, where the platform has one).
+    affinity set, where the platform has one).  The Bell cap dates from the
+    4096-dim four-sensor solves (about 280 MB each); it stays because a Bell
+    point now costs about 2 ms, while starting a 2-worker pool costs about
+    20 ms, so on a 2-CPU host a short Bell line runs faster serially.
     """
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
@@ -211,11 +214,17 @@ def _row_from_json(row):
 # Checkpointing
 
 def _config_fingerprint(cfg: RunConfig):
+    """Hash of the engine version and every config key that changes values.
+
+    A checkpoint written by another engine version does not resume: the
+    engines may differ in the last digits of every row.
+    """
     relevant = {
         k: v
         for k, v in cfg.echo.items()
         if not k.startswith(("output.", "run."))
     }
+    relevant["engine_version"] = __version__
     blob = json.dumps(relevant, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -242,7 +251,8 @@ def _load_checkpoint(path, fingerprint):
         raise ValueError(f"{path} is not a sweep checkpoint")
     if payload.get("config_fingerprint") != fingerprint:
         raise ValueError(
-            f"checkpoint {path} belongs to a different configuration"
+            f"checkpoint {path} belongs to a different configuration "
+            "or engine version"
         )
     return {
         int(i): (_row_from_json(row), status)

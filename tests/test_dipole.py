@@ -1,6 +1,7 @@
 """Geometry-dependent couplings, collective modes and the dressed ladder."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -200,6 +201,31 @@ def test_direction_normalization():
     assert np.linalg.norm(cfg.laser_direction) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError, match="nonzero"):
         ep.EmitterPairConfig(kr12=0.1, rabi=1.0, laser_direction=(0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "direction, unit",
+    [
+        ((1e300, 1e300, 0.0), (math.sqrt(0.5), math.sqrt(0.5), 0.0)),
+        ((-1e308, 0.0, 1e308), (-math.sqrt(0.5), 0.0, math.sqrt(0.5))),
+        ((1e-200, 0.0, 0.0), (1.0, 0.0, 0.0)),
+        ((0.0, -3e-310, 4e-310), (0.0, -0.6, 0.8)),  # subnormal components
+    ],
+)
+def test_direction_normalization_at_extreme_scales(direction, unit):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow or underflow warning either
+        cfg = ep.EmitterPairConfig(
+            kr12=0.1, rabi=1.0, laser_direction=direction, detection_direction=direction
+        )
+    for got in (cfg.laser_direction, cfg.detection_direction):
+        assert got == pytest.approx(unit, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("bad", [(math.inf, 0.0, 0.0), (math.nan, 1.0, 0.0)])
+def test_direction_must_be_finite_and_nonzero(bad):
+    with pytest.raises(ValueError, match="finite and nonzero"):
+        ep.EmitterPairConfig(kr12=0.1, rabi=1.0, detection_direction=bad)
 
 
 def test_config_validation_errors():

@@ -11,12 +11,15 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import emitpair as ep
+from emitpair import liouville
 from emitpair.liouville import (
     _detuning_free_generator,
     _trace_constrained_system,
     DensityMatrix,
     Propagator,
+    SensorBlocks,
     SensorSpec,
+    SolverError,
     build_assembly,
     build_collapse_channels,
     build_hamiltonian,
@@ -510,3 +513,61 @@ def test_sensor_spec_validation():
         SensorSpec(omega_s=0.0, linewidth=1.0, epsilon=-1e-4)
     with pytest.warns(UserWarning, match="perturb"):
         SensorSpec(omega_s=0.0, linewidth=1.0, epsilon=0.5)
+
+
+# ---------------------------------------------------------------------------
+# Leading-order sensor blocks
+
+
+def test_sensor_block_population_is_the_closed_form_sensor_spectrum(pair_config):
+    # one sensor: Tr rho_{1,1} is the filtered spectrum of the closed-form scan
+    # (observed worst 2.2e-14 relative over these points)
+    omegas = [-60.8, -25.4, 0.0, 3.3, 35.4, 70.0]
+    for linewidth in (0.1, 1.0, 4.0):
+        scan = ep.spectrum_sensor_scan(pair_config, omegas, linewidth, normalize=False)
+        pops = [
+            SensorBlocks(pair_config, [SensorSpec(w, linewidth)]).moment(1, 1).real
+            for w in omegas
+        ]
+        np.testing.assert_allclose(pops, scan.values, rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.floats(-70.0, 70.0),
+    st.floats(-70.0, 70.0),
+    st.floats(0.1, 5.0),
+    st.booleans(),
+)
+def test_two_sensor_blocks_match_the_sensor_engine(omega1, omega2, linewidth, same):
+    # <n1 n2> / (<n1><n2>) at leading order against sensor_g2, Richardson
+    # extrapolated to epsilon -> 0 from 1e-3 and 2e-3, which removes the
+    # epsilon^2 bias and keeps round-off small.  Observed worst: 3.4e-8 at
+    # (0, 0, linewidth 0.1), below 2.5e-10 elsewhere on 300 random draws.
+    if same:
+        omega2 = omega1
+    cfg = ep.EmitterPairConfig(kr12=0.05, rabi=30.0)
+    blocks = SensorBlocks(cfg, [SensorSpec(omega1, linewidth), SensorSpec(omega2, linewidth)])
+    g2 = (blocks.moment(3, 3) / (blocks.moment(1, 1) * blocks.moment(2, 2))).real
+    oracle = (
+        4.0 * ep.sensor_g2(cfg, omega1, omega2, linewidth, epsilon=1e-3).g2
+        - ep.sensor_g2(cfg, omega1, omega2, linewidth, epsilon=2e-3).g2
+    ) / 3.0
+    assert g2 == pytest.approx(oracle, rel=1e-6)
+
+
+def test_sensor_blocks_are_adjoint_pairs_and_memoised(pair_config):
+    blocks = SensorBlocks(pair_config, [SensorSpec(w) for w in (20.0, 20.0, -20.0, -20.0)])
+    upper = blocks.block(0b1100, 0b0011)
+    assert blocks.block(0b0011, 0b1100) == pytest.approx(upper.conj().T, abs=0.0)
+    assert blocks.block(0b1100, 0b0011) is upper
+    assert not upper.flags.writeable
+    rho_ss = steady_state(build_assembly(pair_config, ()).superoperator)
+    assert blocks.block(0, 0) == pytest.approx(rho_ss.data, abs=0.0)
+
+
+def test_sensor_block_residual_check_raises(pair_config, monkeypatch):
+    monkeypatch.setattr(liouville, "_BLOCK_RESIDUAL_TOL", 1e-30)
+    blocks = SensorBlocks(pair_config, [SensorSpec(10.0)])
+    with pytest.raises(SolverError, match="residual"):
+        blocks.moment(1, 1)

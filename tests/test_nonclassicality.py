@@ -1,9 +1,12 @@
 """Cauchy-Schwarz ratio, Bell quantifier and leapfrog-line geometry."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 
 import emitpair as ep
+from emitpair.liouville import SensorSpec, build_assembly, steady_state
 from emitpair.nonclassicality import (
     bell_quantifier,
     csi_ratio,
@@ -11,6 +14,7 @@ from emitpair.nonclassicality import (
     virtual_sample_point,
 )
 from emitpair.observables import UndefinedCorrelationError
+from emitpair.operators import embed, expectation, sigma_minus
 
 
 def test_leapfrog_lines_explicit_sums():
@@ -169,6 +173,50 @@ def test_bell_exchange_symmetry(pair_config_module):
     a = bell_quantifier(pair_config_module, tri.d12, -tri.d12, 1.0)
     b = bell_quantifier(pair_config_module, -tri.d12, tri.d12, 1.0)
     assert a.quantifier == pytest.approx(b.quantifier, abs=1e-6)
+
+
+def _bell_terms_of_the_sensor_model(config, omega1, omega2, linewidth, epsilon):
+    """The normalized b-terms from the steady state of the 4096-dim model
+    with sensors (a1, a2) at ``omega1`` and (b1, b2) at ``omega2``."""
+    sensors = tuple(SensorSpec(w, linewidth, epsilon) for w in (omega1, omega1, omega2, omega2))
+    assembly = build_assembly(config, sensors)
+    rho = steady_state(assembly.superoperator).data
+    layout = assembly.layout
+    a1, a2, b1, b2 = (embed(sigma_minus(), site, layout) for site in layout.sensor_sites)
+
+    def moment(*ops):
+        return expectation(reduce(np.matmul, ops), rho)
+
+    na1, na2, nb1, nb2 = (moment(x.conj().T, x).real for x in (a1, a2, b1, b2))
+    pair_norm = np.sqrt(na1 * na2 * nb1 * nb2)
+    return (
+        moment(a1.conj().T, a2.conj().T, a2, a1) / (na1 * na2),
+        moment(b1.conj().T, b2.conj().T, b2, b1) / (nb1 * nb2),
+        moment(a1.conj().T, b1.conj().T, b1, a1) / (na1 * nb1),
+        moment(a1.conj().T, a2.conj().T, b1, b2) / pair_norm,
+        moment(b2.conj().T, b1.conj().T, a2, a1) / pair_norm,
+    )
+
+
+@pytest.mark.parametrize("linewidth", [1.0, 0.1])
+def test_bell_matches_the_four_sensor_model(pair_config_module, linewidth):
+    # leading-order blocks against the finite-coupling oracle at epsilon 1e-4,
+    # whose epsilon^2 bias is about 1e-8; observed worst relative difference
+    # 2.8e-9 (linewidth 1) and 8.3e-9 (linewidth 0.1), on terms and quantifier
+    tri = ep.dressed_triplet(
+        pair_config_module, ep.dipole_coefficients(pair_config_module)
+    )
+    point = bell_quantifier(pair_config_module, tri.d13, -tri.d13, linewidth)
+    oracle = _bell_terms_of_the_sensor_model(
+        pair_config_module, tri.d13, -tri.d13, linewidth, 1e-4
+    )
+    for got, want in zip(point.b_terms, oracle):
+        assert abs(got - want) <= 1e-6 * abs(want)
+    b1111, b2222, b1221, b1122, b2211 = oracle
+    quantifier = np.sqrt(2.0) * abs(
+        (b1111 + b2222 - 4.0 * b1221 - b1122 - b2211) / (b1111 + b2222 + 2.0 * b1221)
+    )
+    assert point.quantifier == pytest.approx(quantifier, rel=1e-6)
 
 
 def test_bell_undefined_propagates(pair_config):

@@ -192,9 +192,9 @@ def test_parallel_matches_serial(tmp_path):
     assert serial.rows == parallel.rows
 
 
-def _interrupt_on_call(monkeypatch, n):
-    """Make the g2map kernel raise KeyboardInterrupt on its ``n``-th call."""
-    columns, kernel = sweep._POINT_TASKS["g2map"]
+def _interrupt_on_call(monkeypatch, n, task="g2map"):
+    """Make the ``task`` kernel raise KeyboardInterrupt on its ``n``-th call."""
+    columns, kernel = sweep._POINT_TASKS[task]
     calls = 0
 
     def interrupting(*args):
@@ -204,7 +204,7 @@ def _interrupt_on_call(monkeypatch, n):
             raise KeyboardInterrupt
         return kernel(*args)
 
-    monkeypatch.setitem(sweep._POINT_TASKS, "g2map", (columns, interrupting))
+    monkeypatch.setitem(sweep._POINT_TASKS, task, (columns, interrupting))
 
 
 def test_interrupt_and_resume_reproduces_full_table(tmp_path, monkeypatch):
@@ -234,6 +234,22 @@ def test_resume_rejects_other_config(tmp_path, monkeypatch):
     other = load_config(SMALL_MAP, parse_overrides(["emitter.rabi=25"]))
     with pytest.raises(ValueError, match="different configuration"):
         run_sweep(other, resume_from=str(ckpt), timestamp=False)
+
+
+def test_resume_rejects_a_checkpoint_of_another_engine_version(tmp_path, monkeypatch):
+    cfg = load_config(
+        "[task]\nkind = bell\nline_sum = 0\n\n[grid]\ncount = 3\n",
+        parse_overrides(["run.checkpoint_every=1"]),
+    )
+    ckpt = tmp_path / "bell.ckpt"
+    with monkeypatch.context() as patch:
+        patch.setattr(sweep, "__version__", "0.1.0")  # the four-sensor engine
+        _interrupt_on_call(patch, 2, task="bell")
+        with pytest.raises(SweepInterrupted):
+            run_sweep(cfg, workers=1, checkpoint_path=str(ckpt), timestamp=False)
+    assert len(json.loads(ckpt.read_text())["completed"]) == 1
+    with pytest.raises(ValueError, match="engine version"):
+        run_sweep(cfg, workers=1, resume_from=str(ckpt), timestamp=False)
 
 
 def _strict_json(text):
@@ -339,6 +355,38 @@ def test_cli_bad_override_is_config_error(capsys):
 def test_cli_non_finite_override_is_config_error(capsys):
     assert main(["validate", "fig1b", "--set", "emitter.kr12=inf"]) == EXIT_CONFIG
     assert "config error: emitter.kr12" in capsys.readouterr().err
+
+
+def test_cli_normalizes_extreme_directions(capsys):
+    for raw, echoed in (
+        ("1e300,1e300,0", "0.7071067811865475,0.7071067811865475,0.0"),
+        ("1e-200,0,0", "1.0,0.0,0.0"),
+    ):
+        argv = ["validate", "fig1b", "--set", f"emitter.laser_direction={raw}"]
+        assert main(argv) == EXIT_OK
+        assert f"emitter.laser_direction = {echoed}" in capsys.readouterr().out
+    argv = ["validate", "fig1b", "--set", "emitter.laser_direction=0,0,0"]
+    assert main(argv) == EXIT_CONFIG
+    assert "laser_direction must be finite and nonzero" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("preset", ["fig3c", "fig4c"])
+def test_bell_presets_run_whole(preset, tmp_path, capsys):
+    # the shipped 81-point Bell lines, twice, through the CLI at one worker
+    paths = [tmp_path / f"{preset}-{i}.csv" for i in (1, 2)]
+    for path in paths:
+        argv = ["run", preset, "--no-timestamp", "--set", "run.workers=1", "--out", str(path)]
+        assert main(argv) == EXIT_OK
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    table = read_result(paths[0])
+    assert len(table.rows) == 81
+    assert table.flagged_count == 0
+    omega1 = [row[0] for row in table.rows]
+    bell = [row[2] for row in table.rows]
+    # the grid is symmetric, so row i holds (w, -w) and row 80 - i (-w, w)
+    for i in range(81):
+        assert omega1[i] == pytest.approx(-omega1[80 - i], abs=1e-12)
+        assert bell[i] == pytest.approx(bell[80 - i], abs=1e-6)
 
 
 def test_cli_run_small_map(tmp_path, capsys):
