@@ -4,9 +4,9 @@ The density matrix of atoms plus sensor detectors evolves under a Lindblad
 generator built from three pieces: the driven-pair Hamiltonian with coherent
 excitation exchange, collective decay channels obtained by diagonalising the
 2x2 damping matrix (symmetric and antisymmetric modes with rates
-``1 +- gamma12``), and one decay channel per sensor.  :class:`SensorBlocks`
-takes the limit of vanishing sensor coupling instead, with linear solves on
-the atoms-only generator.
+``1 +- gamma12``), and one decay channel per sensor.  :func:`atomic_model`
+caches the atoms-only model of one emitter, on which :class:`SensorBlocks`
+takes the limit of vanishing sensor coupling with linear solves instead.
 
 Vectorisation is column-stacking throughout: ``vec(rho)`` concatenates the
 columns of ``rho`` (Fortran order), so ``vec(A rho B) = (B^T kron A) vec(rho)``
@@ -27,19 +27,21 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_factor, lu_solve, schur as complex_schur
 from scipy.linalg.lapack import zgecon
 
 from .dipole import EmitterPairConfig, effective_coefficients
 from .operators import (
     HilbertLayout,
     SparseComplexMatrix,
+    _read_only,
     embed,
+    expectation,
     sigma_minus,
     sigma_plus,
     number_op,
@@ -56,6 +58,8 @@ __all__ = [
     "vectorize",
     "build_assembly",
     "steady_state",
+    "AtomicModel",
+    "atomic_model",
     "SensorBlocks",
     "evolve",
     "Propagator",
@@ -92,12 +96,6 @@ class SensorSpec:
             raise ValueError("sensor linewidth must be positive")
         if self.epsilon < 0.0:
             raise ValueError("sensor coupling epsilon must be nonnegative")
-        if self.epsilon > 1e-2:
-            warnings.warn(
-                f"sensor coupling epsilon = {self.epsilon} is large enough to "
-                "perturb the emitter dynamics",
-                stacklevel=2,
-            )
 
 
 @dataclass(frozen=True)
@@ -165,11 +163,18 @@ def emission_operator(config: EmitterPairConfig, layout: HilbertLayout) -> np.nd
 def build_hamiltonian(config: EmitterPairConfig, sensors) -> np.ndarray:
     """Laser-frame Hamiltonian of atoms plus sensors (decay-rate units), dense.
 
-    Terms: resonant drive with per-atom plane-wave phases, coherent
-    excitation exchange ``delta12`` between the atoms, sensor
-    detunings ``omega_s``, and the weak sensor-field couplings.
+    Terms: resonant drive with per-atom plane-wave phases, coherent excitation
+    exchange ``delta12`` between the atoms, sensor detunings ``omega_s``, and
+    the weak sensor-field couplings, with one warning if any exceeds 1e-2.
     """
     sensors = list(sensors)
+    strongest = max((spec.epsilon for spec in sensors), default=0.0)
+    if strongest > 1e-2:
+        warnings.warn(
+            f"sensor coupling epsilon = {strongest} is large enough to "
+            "perturb the emitter dynamics",
+            stacklevel=2,
+        )
     layout = HilbertLayout.for_system(config.atom_count, len(sensors))
     h = np.zeros((layout.dimension,) * 2, dtype=np.complex128)
 
@@ -257,13 +262,9 @@ def vectorize(hamiltonian: np.ndarray, channels) -> SparseComplexMatrix:
 def _detuning_free_generator(config: EmitterPairConfig, sensor_rates) -> SparseComplexMatrix:
     """Superoperator with every sensor at zero frequency, one per sweep.
 
-    ``sensor_rates`` holds each sensor's ``(linewidth, epsilon)``.  The
-    sensors were validated (and warned about) when they were made, so
-    rebuilding them here stays silent.
+    ``sensor_rates`` holds each sensor's ``(linewidth, epsilon)``.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        sensors = [SensorSpec(0.0, linewidth, epsilon) for linewidth, epsilon in sensor_rates]
+    sensors = [SensorSpec(0.0, linewidth, epsilon) for linewidth, epsilon in sensor_rates]
     return vectorize(
         build_hamiltonian(config, sensors), build_collapse_channels(config, sensors)
     )
@@ -373,6 +374,60 @@ def steady_state(superoperator: SparseComplexMatrix, tol: float = 1e-8) -> Densi
 _BLOCK_RESIDUAL_TOL = 1e-10
 
 
+class AtomicModel:
+    """The atoms-only model of one emitter; :func:`atomic_model` caches it.
+
+    ``superoperator`` is the atomic generator ``L`` (``generator``, dense),
+    ``rho_ss`` its :func:`steady_state`, ``emission`` the emission operator
+    ``E`` and ``intensity`` ``<E^dag E>``; its numpy arrays are read-only.  With
+    ``x = vec(rho_ss E^dag)`` and the covector ``c`` of ``Tr[E X]``, the field
+    correlation is ``<E^dag(0) E(tau)> = c . exp(L tau) x``, a sum of modes
+    ``a_k exp(lambda_k tau)`` of ``L``.  Its one-sided transform
+    ``int_0^inf exp(-z tau) <E^dag(0) E(tau)> dtau`` is
+    ``c . (z - L)^{-1} x = inelastic(z) + plateau / z``: the ``lambda = 0``
+    mode is the elastic plateau ``|<E>|^2``, and the rest is solved with the
+    steady state deflated, ``(z - L + |rho_ss><1|)`` acting on the trace-free
+    ``source = x - Tr(x) rho_ss``, which stays regular at ``z = 0``.
+    :meth:`inelastic` back-substitutes on the complex Schur form ``schur`` of
+    ``L - |rho_ss><1|`` for a whole array of ``z`` at once; a sensor block,
+    with a ``z`` of its own, is one LU solve on ``generator`` instead.
+    """
+
+    def __init__(self, config: EmitterPairConfig):
+        assembly = build_assembly(config, ())
+        self.superoperator = assembly.superoperator
+        self.generator = _read_only(self.superoperator.to_dense())
+        self.rho_ss = rho = steady_state(self.superoperator)
+        self.emission = _read_only(emission_operator(config, assembly.layout))
+        raising = self.emission.conj().T
+        self.intensity = float(np.real(expectation(raising @ self.emission, rho.data)))
+        rho_vec = _vec(rho.data)
+        trace = np.eye(rho.dimension).flatten(order="F")  # Tr X = trace . vec(X)
+        x = _vec(rho.data @ raising)
+        self.covector = _read_only(np.ravel(self.emission))  # Tr[E X] = c . vec(X)
+        self.plateau = float(np.real((self.covector @ rho_vec) * (trace @ x)))
+        self.source = _read_only(x - (trace @ x) * rho_vec)
+
+    @cached_property
+    def schur(self):  # built on first use: a Bell point never needs it
+        trace = np.eye(self.rho_ss.dimension).flatten(order="F")
+        deflated = self.generator - np.outer(_vec(self.rho_ss.data), trace)
+        return tuple(_read_only(m) for m in complex_schur(deflated, output="complex"))
+
+    def inelastic(self, z):
+        """``c . (z - L)^{-1} x`` without the elastic pole, for an array ``z``."""
+        tri, basis = self.schur
+        rhs = basis.conj().T @ self.source
+        z = np.asarray(z, dtype=complex)
+        y = np.empty((rhs.size, z.size), dtype=complex)
+        for i in range(rhs.size - 1, -1, -1):  # back substitution in (z - tri)
+            y[i] = (rhs[i] + tri[i, i + 1 :] @ y[i + 1 :]) / (z - tri[i, i])
+        return (self.covector @ basis) @ y
+
+
+atomic_model = lru_cache(maxsize=1)(AtomicModel)
+
+
 class SensorBlocks:
     """Steady-state sensor moments at leading order in the sensor coupling.
 
@@ -398,11 +453,9 @@ class SensorBlocks:
     """
 
     def __init__(self, config: EmitterPairConfig, sensors):
-        assembly = build_assembly(config, ())
-        self._generator = assembly.superoperator.to_dense()
-        self._emission = emission_operator(config, assembly.layout)
+        self._model = atomic_model(config)
         self._sensors = tuple(sensors)
-        self._blocks = {(0, 0): steady_state(assembly.superoperator).data}
+        self._blocks = {(0, 0): self._model.rho_ss.data}
 
     def moment(self, a: int, b: int) -> complex:
         """``Tr rho_ab``: the leading-order moment ``<X_b^dag X_a>``, where
@@ -421,7 +474,7 @@ class SensorBlocks:
         return found
 
     def _solve(self, a, b):
-        emission = self._emission
+        emission = self._model.emission
         source = np.zeros_like(emission)
         z = 0.0
         for s, spec in enumerate(self._sensors):
@@ -433,7 +486,7 @@ class SensorBlocks:
                 source += 1j * (self.block(a, b ^ bit) @ emission.conj().T)
                 z += -1j * spec.omega_s + 0.5 * spec.linewidth
         rhs = _vec(source)
-        shifted = z * np.eye(rhs.size) - self._generator
+        shifted = z * np.eye(rhs.size) - self._model.generator
         x = np.linalg.solve(shifted, rhs)
         residual = float(np.linalg.norm(shifted @ x - rhs))
         scale = float(np.linalg.norm(rhs))
@@ -442,9 +495,7 @@ class SensorBlocks:
                 f"sensor block ({a}, {b}) residual {residual:.3e} exceeds "
                 f"{_BLOCK_RESIDUAL_TOL:.1e} of the source norm {scale:.3e}"
             )
-        block = _unvec(x)
-        block.setflags(write=False)
-        return block
+        return _read_only(_unvec(x))
 
 
 class Propagator:
@@ -516,17 +567,14 @@ def two_time_correlator(
     right_ops,
     mid_op: np.ndarray,
     tau_grid,
-    rho_ss: DensityMatrix | None = None,
+    rho_ss: DensityMatrix,
 ):
     """Steady-state correlator ``<A(t) B(t+tau) C(t)>`` for ``tau >= 0``.
 
     ``A`` is the ordered product of the dense ``left_ops``, ``C`` of
     ``right_ops`` and ``B = mid_op``; the quantum regression theorem gives
-    ``Tr[B exp(L tau)(C rho_ss A)]`` (:meth:`Propagator.correlate`).  The
-    steady state is solved on demand when not supplied.
+    ``Tr[B exp(L tau)(C rho_ss A)]`` (:meth:`Propagator.correlate`).
     """
-    if rho_ss is None:
-        rho_ss = steady_state(superoperator)
     ident = np.eye(rho_ss.dimension)
     a_op = reduce(np.matmul, left_ops, ident)
     c_op = reduce(np.matmul, right_ops, ident)

@@ -8,7 +8,7 @@ Same-frequency second-order moments of a two-level sensor vanish identically
 (its lowering operator squares to zero), so every auto- and cross-moment here
 is built from a *pair* of sensors per frequency.  The Cauchy-Schwarz ratio
 uses three two-sensor solves; the Bell quantifier reads four sensors, two at
-each frequency, from leading-order block solves on the atomic generator.
+each frequency, from leading-order block solves on the cached atomic model.
 """
 
 from __future__ import annotations

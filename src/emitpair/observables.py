@@ -1,11 +1,11 @@
 """Physical observables: spectra, field correlations, sensor-filtered g2.
 
 Spectra come in two flavours, both closed forms of the field correlation on
-the atoms-only generator: its Fourier transform (elastic plateau subtracted
-and reported separately) and the steady population of a single weakly coupled
-sensor scanned over frequency, which is the same spectrum filtered by a
-Lorentzian of half-width ``linewidth / 2``.  The full sensor solve remains
-their test oracle.
+the emitter's cached atomic model, on which ``g1`` and the unfiltered ``g2``
+propagate too: its Fourier transform (elastic plateau subtracted and reported
+separately) and the steady population of a single weakly coupled sensor
+scanned over frequency, the same spectrum filtered by a Lorentzian of
+half-width ``linewidth / 2``.  The full sensor solve is their test oracle.
 
 Frequency-resolved photon-photon statistics attach one sensor per detected
 frequency; the zero-delay correlation is a plain steady-state moment of the
@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur
 
 from .dipole import (
     EmitterPairConfig,
@@ -29,8 +28,8 @@ from .dipole import (
 from .liouville import (
     Propagator,
     SensorSpec,
+    atomic_model,
     build_assembly,
-    emission_operator,
     steady_state,
     two_time_correlator,
 )
@@ -99,24 +98,16 @@ class CorrelationPoint:
     sensor_linewidth: float
 
 
-def _atoms_only(config):
-    assembly = build_assembly(config, ())
-    rho = steady_state(assembly.superoperator)
-    emission = emission_operator(config, assembly.layout)
-    raising = emission.conj().T
-    intensity = float(np.real(expectation(raising @ emission, rho.data)))
-    return assembly, rho, emission, raising, intensity
-
-
 def g1(config: EmitterPairConfig, tau_grid):
     """Normalized first-order field correlation on a nonnegative tau grid."""
-    assembly, rho, emission, raising, intensity = _atoms_only(config)
-    if intensity <= 0.0 or config.rabi == 0.0:
+    model = atomic_model(config)
+    if model.intensity <= 0.0 or config.rabi == 0.0:
         raise ValueError("zero emitted intensity: g1 is undefined without drive")
+    emission = model.emission
     values = two_time_correlator(
-        assembly.superoperator, [raising], [], emission, tau_grid, rho_ss=rho
+        model.superoperator, [emission.conj().T], [], emission, tau_grid, rho_ss=model.rho_ss
     )
-    return [v / intensity for v in values]
+    return [v / model.intensity for v in values]
 
 
 def default_spectrum_window(config: EmitterPairConfig) -> float:
@@ -129,60 +120,23 @@ def default_omega_grid(config: EmitterPairConfig, count=401):
     return np.linspace(-half, half, count)
 
 
-class _FieldResolvent:
-    """Transform of the steady-state field correlation on the atoms-only model.
-
-    With ``x = vec(rho_ss E^dag)`` and the covector ``c`` of ``Tr[E X]``, the
-    correlation is ``<E^dag(0) E(tau)> = c . exp(L tau) x``, a sum of modes
-    ``a_k exp(lambda_k tau)`` of the atomic generator ``L``.  Its one-sided
-    transform ``int_0^inf exp(-z tau) <E^dag(0) E(tau)> dtau`` is
-    ``c . (z - L)^{-1} x = inelastic(z) + plateau / z``: the ``lambda = 0``
-    mode is the elastic plateau ``|<E>|^2``, and the rest is solved with the
-    steady state deflated, ``(z - L + |rho_ss><1|)`` acting on the trace-free
-    ``x - Tr(x) rho_ss``, which stays regular at ``z = 0``.
-    """
-
-    def __init__(self, config: EmitterPairConfig):
-        assembly, rho, emission, raising, intensity = _atoms_only(config)
-        if intensity <= 0.0 or config.rabi == 0.0:
-            raise ValueError("zero emitted intensity: spectrum is undefined")
-        rho_vec = rho.data.flatten(order="F")
-        trace = np.eye(rho.dimension).flatten(order="F")  # Tr X = trace . vec(X)
-        x = (rho.data @ raising).flatten(order="F")
-        self.intensity = intensity
-        self.covector = np.ravel(emission)  # Tr[E X] = c . vec(X)
-        self.plateau = float(np.real((self.covector @ rho_vec) * (trace @ x)))
-        self.source = x - (trace @ x) * rho_vec
-        self.generator = assembly.superoperator.to_dense()
-        self._schur = schur(self.generator - np.outer(rho_vec, trace), output="complex")
-
-    def inelastic(self, z):
-        """``c . (z - L)^{-1} x`` without the elastic pole, for an array ``z``."""
-        tri, basis = self._schur
-        rhs = basis.conj().T @ self.source
-        z = np.asarray(z, dtype=complex)
-        y = np.empty((rhs.size, z.size), dtype=complex)
-        for i in range(rhs.size - 1, -1, -1):  # back substitution in (z - tri)
-            y[i] = (rhs[i] + tri[i, i + 1 :] @ y[i + 1 :]) / (z - tri[i, i])
-        return (self.covector @ basis) @ y
-
-    def narrow_line(self, omega_grid):
-        """``(weight, center, hwhm)`` of the slowest non-elastic mode, if the
-        grid spacing cannot resolve it; weight per unit intensity."""
-        if omega_grid.size < 2:
-            return None
-        spacing = np.ptp(omega_grid) / (omega_grid.size - 1)
-        rates, modes = np.linalg.eig(self.generator)
-        slow_rates = -rates.real
-        slow_rates[np.argmin(np.abs(rates))] = np.inf  # the elastic mode
-        slow = rates[np.argmin(slow_rates)]
-        if -slow.real >= spacing:
-            return None
-        # a degenerate line collects the amplitude of every copy of its mode
-        copies = np.abs(rates - slow) <= 1e-9 * np.max(np.abs(rates))
-        amplitudes = (self.covector @ modes) * np.linalg.solve(modes, self.source)
-        weight = float(np.sum(amplitudes[copies]).real) / self.intensity
-        return weight, float(-slow.imag), float(-slow.real)
+def _narrow_line(model, omega_grid):
+    """``(weight, center, hwhm)`` of the slowest non-elastic mode, if the
+    grid spacing cannot resolve it; weight per unit intensity."""
+    if omega_grid.size < 2:
+        return None
+    spacing = np.ptp(omega_grid) / (omega_grid.size - 1)
+    rates, modes = np.linalg.eig(model.generator)
+    slow_rates = -rates.real
+    slow_rates[np.argmin(np.abs(rates))] = np.inf  # the elastic mode
+    slow = rates[np.argmin(slow_rates)]
+    if -slow.real >= spacing:
+        return None
+    # a degenerate line collects the amplitude of every copy of its mode
+    copies = np.abs(rates - slow) <= 1e-9 * np.max(np.abs(rates))
+    amplitudes = (model.covector @ modes) * np.linalg.solve(modes, model.source)
+    weight = float(np.sum(amplitudes[copies]).real) / model.intensity
+    return weight, float(-slow.imag), float(-slow.real)
 
 
 def _peak_normalized(values, narrow_line=None):
@@ -209,18 +163,20 @@ def spectrum_fourier(
     ``narrow_line`` when its half-width is below the grid spacing.  Positive
     ``w`` lies above the laser, as for the sensor scan.
     """
-    field = _FieldResolvent(config)
+    model = atomic_model(config)
+    if model.intensity <= 0.0 or config.rabi == 0.0:
+        raise ValueError("zero emitted intensity: spectrum is undefined")
     if omega_grid is None:
         omega_grid = default_omega_grid(config)
     omega_grid = np.asarray(omega_grid, dtype=float)
-    values = 2.0 * np.real(field.inelastic(-1j * omega_grid)) / field.intensity
-    narrow_line = field.narrow_line(omega_grid)
+    values = 2.0 * np.real(model.inelastic(-1j * omega_grid)) / model.intensity
+    narrow_line = _narrow_line(model, omega_grid)
     if normalize:
         values, narrow_line = _peak_normalized(values, narrow_line)
     return SpectrumResult(
         omega_grid=omega_grid,
         values=values,
-        elastic_weight=field.plateau / field.intensity,
+        elastic_weight=model.plateau / model.intensity,
         method="g1-fourier",
         narrow_line=narrow_line,
     )
@@ -244,18 +200,20 @@ def spectrum_sensor_scan(
     """
     if sensor_linewidth <= 0.0:
         raise ValueError("sensor linewidth must be positive")
-    field = _FieldResolvent(config)
+    model = atomic_model(config)
+    if model.intensity <= 0.0 or config.rabi == 0.0:
+        raise ValueError("zero emitted intensity: spectrum is undefined")
     if omega_grid is None:
         omega_grid = default_omega_grid(config)
     omega_grid = np.asarray(omega_grid, dtype=float)
     z = 0.5 * sensor_linewidth - 1j * omega_grid
-    values = (2.0 / sensor_linewidth) * np.real(field.inelastic(z) + field.plateau / z)
+    values = (2.0 / sensor_linewidth) * np.real(model.inelastic(z) + model.plateau / z)
     if normalize:
         values, _ = _peak_normalized(values)
     return SpectrumResult(
         omega_grid=omega_grid,
         values=values,
-        elastic_weight=field.plateau / field.intensity,
+        elastic_weight=model.plateau / model.intensity,
         method="sensor-scan",
     )
 
@@ -264,31 +222,34 @@ def g2_unfiltered(config: EmitterPairConfig, tau_grid):
     """Frequency-blind intensity correlation of the total field."""
     if config.rabi <= 0.0:
         raise ValueError("g2 requires a driven system")
-    assembly, rho, emission, raising, intensity = _atoms_only(config)
+    model = atomic_model(config)
+    emission = model.emission
+    raising = emission.conj().T
     numerator = two_time_correlator(
-        assembly.superoperator,
-        [raising],
-        [emission],
-        raising @ emission,
-        tau_grid,
-        rho_ss=rho,
+        model.superoperator, [raising], [emission], raising @ emission, tau_grid,
+        rho_ss=model.rho_ss,
     )
-    return [float(np.real(v)) / intensity**2 for v in numerator]
+    return [float(np.real(v)) / model.intensity**2 for v in numerator]
 
 
-def _sensor_readout(assembly, rho, omegas):
-    """Dense lowering operators, number operators and populations of the sensors.
-
-    ``omegas`` are the sensor frequencies, in site order, for the message of
-    the :class:`UndefinedCorrelationError` raised when a population is below
-    ``POPULATION_FLOOR``.
+def _two_sensor_state(config, omega1, omega2, linewidth, epsilon):
+    """The model with sensors at ``omega1`` and ``omega2``, its steady state,
+    and the sensors' dense lowering operators, number operators and
+    populations.  Raises :class:`UndefinedCorrelationError` when a population
+    is below ``POPULATION_FLOOR``.
     """
+    sensors = tuple(
+        SensorSpec(omega_s=float(w), linewidth=linewidth, epsilon=epsilon)
+        for w in (omega1, omega2)
+    )
+    assembly = build_assembly(config, sensors)
+    rho = steady_state(assembly.superoperator)
     layout = assembly.layout
     lowers = [embed(sigma_minus(), site, layout) for site in layout.sensor_sites]
     numbers = [embed(number_op(), site, layout) for site in layout.sensor_sites]
     pops = [float(np.real(expectation(n, rho.data))) for n in numbers]
-    _check_populations(pops, omegas)
-    return lowers, numbers, pops
+    _check_populations(pops, (omega1, omega2))
+    return assembly, rho, lowers, numbers, pops
 
 
 def _check_populations(pops, omegas):
@@ -316,13 +277,9 @@ def sensor_g2(
     bunching of the diagonal), and a single steady state yields
     ``<n1 n2> / (<n1><n2>)``.
     """
-    sensors = tuple(
-        SensorSpec(omega_s=float(w), linewidth=sensor_linewidth, epsilon=epsilon)
-        for w in (omega1, omega2)
+    _, rho, _, (num1, num2), (n1, n2) = _two_sensor_state(
+        config, omega1, omega2, sensor_linewidth, epsilon
     )
-    assembly = build_assembly(config, sensors)
-    rho = steady_state(assembly.superoperator)
-    _, (num1, num2), (n1, n2) = _sensor_readout(assembly, rho, (omega1, omega2))
     value = float(np.real(expectation(num1 @ num2, rho.data))) / (n1 * n2)
     return CorrelationPoint(
         omega1=float(omega1),
@@ -351,14 +308,8 @@ def sensor_g2_tau(
     points follow it.
     """
     taus = np.asarray(tau_grid, dtype=float)
-    sensors = tuple(
-        SensorSpec(omega_s=float(w), linewidth=sensor_linewidth, epsilon=epsilon)
-        for w in (omega1, omega2)
-    )
-    assembly = build_assembly(config, sensors)
-    rho = steady_state(assembly.superoperator)
-    (lower1, lower2), (num1, num2), (n1, n2) = _sensor_readout(
-        assembly, rho, (omega1, omega2)
+    assembly, rho, (lower1, lower2), (num1, num2), (n1, n2) = _two_sensor_state(
+        config, omega1, omega2, sensor_linewidth, epsilon
     )
 
     prop = Propagator(assembly.superoperator)

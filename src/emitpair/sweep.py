@@ -74,8 +74,8 @@ def effective_workers(task, requested):
     ``requested = 0`` means one worker per CPU this process may run on (its
     affinity set, where the platform has one).  The Bell cap dates from the
     4096-dim four-sensor solves (about 280 MB each); it stays because a Bell
-    point now costs about 2 ms, while starting a 2-worker pool costs about
-    20 ms, so on a 2-CPU host a short Bell line runs faster serially.
+    point costs about 2.2 ms on the cached atomic model and a 2-worker pool
+    about 16 ms to start (2 cores): a short Bell line runs faster serially.
     """
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))

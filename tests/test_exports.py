@@ -1,4 +1,5 @@
-"""Every name the package and its modules export resolves; one version."""
+"""Every name the package and its modules export resolves, and so does every
+binding the benchmark traces; one version."""
 
 import importlib
 import pkgutil
@@ -9,6 +10,7 @@ import pytest
 
 import emitpair
 
+ROOT = Path(__file__).resolve().parents[1]
 MODULES = ["emitpair"] + [
     f"emitpair.{info.name}" for info in pkgutil.iter_modules(emitpair.__path__)
 ]
@@ -22,6 +24,31 @@ def test_every_exported_name_resolves(module_name):
 
 
 def test_pyproject_version_is_the_package_version():
-    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    pyproject = ROOT / "pyproject.toml"
     with open(pyproject, "rb") as fh:
         assert tomllib.load(fh)["project"]["version"] == emitpair.__version__
+
+
+def test_every_binding_the_benchmark_traces_resolves(monkeypatch):
+    # perfbench rebinds these by name; a refactor that drops one must fail here
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench import spec
+
+    for var in spec.BLAS_THREAD_VARS:  # importing the workload pins them
+        monkeypatch.setenv(var, "1")
+    from perfbench import spans, workload
+
+    targets = [(module, qualname) for module, qualname, _ in workload.TRACED] + [
+        ("emitpair.operators", "SparseComplexMatrix.__init__"),
+        # perfbench's own test checks that tracing rebinds it in this module
+        ("emitpair.nonclassicality", "build_assembly"),
+    ]
+
+    def resolves(module_name, qualname):
+        try:
+            _, owner, attr = spans._resolve(module_name, qualname)
+        except AttributeError:  # a missing class on the way
+            return False
+        return hasattr(owner, attr)
+
+    assert [f"{m}.{q}" for m, q in targets if not resolves(m, q)] == []

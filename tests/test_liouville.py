@@ -20,6 +20,7 @@ from emitpair.liouville import (
     SensorBlocks,
     SensorSpec,
     SolverError,
+    atomic_model,
     build_assembly,
     build_collapse_channels,
     build_hamiltonian,
@@ -224,12 +225,17 @@ def test_build_assembly_matches_full_vectorization_at_drawn_frequencies(omegas):
 
 
 def test_build_assembly_does_not_repeat_the_coupling_warning():
-    with pytest.warns(UserWarning, match="perturb"):
-        sensors = (SensorSpec(1.0, epsilon=0.05), SensorSpec(-1.0, epsilon=0.05))
+    # a large coupling warns where it enters the model: once per build of the
+    # cached generator, not on a cache hit
+    pair = ep.EmitterPairConfig()
+    sensors = (SensorSpec(1.0, epsilon=0.05), SensorSpec(-1.0, epsilon=0.05))
     _detuning_free_generator.cache_clear()
+    with pytest.warns(UserWarning, match="perturb") as record:
+        build_assembly(pair, sensors)
+    assert len(record) == 1
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        build_assembly(ep.EmitterPairConfig(), sensors)
+        build_assembly(pair, (SensorSpec(7.0, epsilon=0.05), SensorSpec(3.0, epsilon=0.05)))
 
 
 def test_spliced_trace_row_matches_stacked_reference():
@@ -511,8 +517,12 @@ def test_sensor_spec_validation():
         SensorSpec(omega_s=0.0, linewidth=0.0)
     with pytest.raises(ValueError):
         SensorSpec(omega_s=0.0, linewidth=1.0, epsilon=-1e-4)
-    with pytest.warns(UserWarning, match="perturb"):
-        SensorSpec(omega_s=0.0, linewidth=1.0, epsilon=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        strong = SensorSpec(omega_s=0.0, linewidth=1.0, epsilon=0.5)
+    with pytest.warns(UserWarning, match="perturb") as record:
+        build_hamiltonian(ep.EmitterPairConfig(), [strong, strong])
+    assert len(record) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -520,16 +530,22 @@ def test_sensor_spec_validation():
 
 
 def test_sensor_block_population_is_the_closed_form_sensor_spectrum(pair_config):
-    # one sensor: Tr rho_{1,1} is the filtered spectrum of the closed-form scan
-    # (observed worst 2.2e-14 relative over these points)
-    omegas = [-60.8, -25.4, 0.0, 3.3, 35.4, 70.0]
-    for linewidth in (0.1, 1.0, 4.0):
-        scan = ep.spectrum_sensor_scan(pair_config, omegas, linewidth, normalize=False)
-        pops = [
-            SensorBlocks(pair_config, [SensorSpec(w, linewidth)]).moment(1, 1).real
-            for w in omegas
-        ]
-        np.testing.assert_allclose(pops, scan.values, rtol=1e-12, atol=0.0)
+    # one sensor: Tr rho_{1,1} by block LU is the filtered spectrum of the
+    # closed-form scan by Schur back substitution, on the pair and on a single
+    # atom at the Mollow exceptional point rabi = 1/4, where eigenvectors of
+    # L_A coalesce (observed worst 2.2e-14 relative over these points)
+    mollow_point = ep.EmitterPairConfig(atom_count=1, rabi=0.25)
+    for cfg, omegas in (
+        (pair_config, [-60.8, -25.4, 0.0, 3.3, 35.4, 70.0]),
+        (mollow_point, [-3.0, -0.7, -0.1, 0.0, 0.2, 1.5]),
+    ):
+        for linewidth in (0.1, 1.0, 4.0):
+            scan = ep.spectrum_sensor_scan(cfg, omegas, linewidth, normalize=False)
+            pops = [
+                SensorBlocks(cfg, [SensorSpec(w, linewidth)]).moment(1, 1).real
+                for w in omegas
+            ]
+            np.testing.assert_allclose(pops, scan.values, rtol=1e-12, atol=0.0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -571,3 +587,33 @@ def test_sensor_block_residual_check_raises(pair_config, monkeypatch):
     blocks = SensorBlocks(pair_config, [SensorSpec(10.0)])
     with pytest.raises(SolverError, match="residual"):
         blocks.moment(1, 1)
+
+
+def test_atomic_model_is_read_only_and_shared_across_emitters():
+    pair = ep.EmitterPairConfig(kr12=0.05, rabi=30.0)
+    single = ep.EmitterPairConfig(atom_count=1, rabi=30.0)
+    model = atomic_model(pair)
+    arrays = [model.rho_ss.data, *model.schur] + [
+        value for value in vars(model).values() if isinstance(value, np.ndarray)
+    ]
+    for arr in arrays:
+        assert not arr.flags.writeable
+    assert atomic_model(pair) is model
+
+    def outputs(cfg):
+        return (
+            ep.spectrum_fourier(cfg, np.linspace(-70.0, 70.0, 41)).values,
+            ep.bell_quantifier(cfg, 20.0, -20.0).b_terms,
+            ep.g1(cfg, [0.0, 0.3, 2.0]),
+        )
+
+    # alternating emitters replaces the one cached model on every call
+    order = (pair, single, pair, single)
+    alternating = [outputs(cfg) for cfg in order]
+    fresh = {}
+    for cfg in (pair, single):
+        atomic_model.cache_clear()
+        fresh[cfg] = outputs(cfg)
+    for cfg, got in zip(order, alternating):
+        for a, b in zip(got, fresh[cfg]):
+            np.testing.assert_array_equal(a, b)

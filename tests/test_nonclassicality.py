@@ -1,5 +1,6 @@
 """Cauchy-Schwarz ratio, Bell quantifier and leapfrog-line geometry."""
 
+import warnings
 from functools import reduce
 
 import numpy as np
@@ -222,3 +223,15 @@ def test_bell_matches_the_four_sensor_model(pair_config_module, linewidth):
 def test_bell_undefined_propagates(pair_config):
     with pytest.raises(UndefinedCorrelationError):
         bell_quantifier(pair_config, 5e4, -5e4, 1.0)
+
+
+def test_bell_at_a_large_coupling_is_silent_and_the_same(pair_config):
+    # epsilon enters the Bell point only through the population floor, so a
+    # coupling that would perturb the finite-epsilon model neither warns nor
+    # moves the quantifier
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        strong = bell_quantifier(pair_config, 40.0, -40.0, 1.0, epsilon=0.05)
+    weak = bell_quantifier(pair_config, 40.0, -40.0, 1.0, epsilon=1e-4)
+    assert strong.quantifier == weak.quantifier
+    assert strong.b_terms == weak.b_terms

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import emitpair as ep
-from emitpair import sweep
+from emitpair import liouville, sweep
 from emitpair.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARTIAL, main
 from emitpair.config import load_config, parse_overrides
 from emitpair.sweep import (
@@ -250,6 +250,26 @@ def test_resume_rejects_a_checkpoint_of_another_engine_version(tmp_path, monkeyp
     assert len(json.loads(ckpt.read_text())["completed"]) == 1
     with pytest.raises(ValueError, match="engine version"):
         run_sweep(cfg, workers=1, resume_from=str(ckpt), timestamp=False)
+
+
+def test_bell_line_solves_the_atomic_steady_state_once_per_emitter(monkeypatch):
+    original = liouville.steady_state
+    calls = []
+
+    def counted(superoperator, *args, **kwargs):
+        calls.append(superoperator.csr.shape[0])
+        return original(superoperator, *args, **kwargs)
+
+    monkeypatch.setattr(liouville, "steady_state", counted)
+    liouville.atomic_model.cache_clear()
+    for kr12 in (0.05, 0.3):
+        cfg = load_config(
+            f"[emitter]\nkr12 = {kr12}\n\n[task]\nkind = bell\nline_sum = 0\n\n"
+            "[grid]\ncount = 4\n"
+        )
+        table = run_sweep(cfg, workers=1, timestamp=False)
+        assert len(table.rows) == 4
+    assert calls == [16, 16]
 
 
 def _strict_json(text):
