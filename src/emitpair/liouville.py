@@ -118,7 +118,7 @@ class DensityMatrix:
     residual: float | None = None
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.complex128)
+        arr = np.array(self.data, dtype=np.complex128)  # a copy: the caller's stays writable
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
@@ -175,7 +175,7 @@ def build_hamiltonian(config: EmitterPairConfig, sensors) -> np.ndarray:
             "perturb the emitter dynamics",
             stacklevel=2,
         )
-    layout = HilbertLayout.for_system(config.atom_count, len(sensors))
+    layout = HilbertLayout(config.atom_count, len(sensors))
     h = np.zeros((layout.dimension,) * 2, dtype=np.complex128)
 
     half_rabi = 0.5 * config.rabi
@@ -213,7 +213,7 @@ def build_collapse_channels(config: EmitterPairConfig, sensors):
     sensor decays independently at its own linewidth.
     """
     sensors = list(sensors)
-    layout = HilbertLayout.for_system(config.atom_count, len(sensors))
+    layout = HilbertLayout(config.atom_count, len(sensors))
     channels = []
     if config.atom_count == 1:
         channels.append((1.0, embed(sigma_minus(), 0, layout)))
@@ -284,12 +284,10 @@ def build_assembly(config: EmitterPairConfig, sensors=()) -> ModelAssembly:
     reproduces the full build entry for entry.
     """
     sensors = tuple(sensors)
-    layout = HilbertLayout.for_system(config.atom_count, len(sensors))
+    layout = HilbertLayout(config.atom_count, len(sensors))
     base = _detuning_free_generator(
         config, tuple((s.linewidth, s.epsilon) for s in sensors)
     )
-    if not sensors:
-        return ModelAssembly(layout=layout, superoperator=base)
     h = np.zeros(layout.dimension)
     for site, spec in zip(layout.sensor_sites, sensors):
         h = h + spec.omega_s * embed(number_op(), site, layout).diagonal().real
@@ -335,14 +333,14 @@ def _condition_estimate(gen_csc, lu):
         return float("nan")
 
 
-def steady_state(superoperator: SparseComplexMatrix, tol: float = 1e-8) -> DensityMatrix:
+def steady_state(superoperator: SparseComplexMatrix) -> DensityMatrix:
     """Unique steady state by trace-constrained sparse LU solve.
 
     One row of the generator is replaced by the (weighted) trace condition and
     the system is solved directly, followed by two iterative-refinement steps.
     The reported residual is ``||L vec(rho)||_2`` against the unmodified
     generator.  Raises :class:`SolverError` with a condition estimate if the
-    residual cannot be pushed below ``tol``.
+    residual exceeds ``_STEADY_RESIDUAL_TOL``.
     """
     gen = superoperator.csr
     if gen.shape[0] != gen.shape[1]:
@@ -361,15 +359,17 @@ def steady_state(superoperator: SparseComplexMatrix, tol: float = 1e-8) -> Densi
     rho = _unvec(x)
     rho = 0.5 * (rho + rho.conj().T)
     residual = float(np.linalg.norm(gen @ _vec(rho)))
-    if not np.isfinite(residual) or residual > tol:
+    if not residual <= _STEADY_RESIDUAL_TOL:  # NaN fails too
         cond = _condition_estimate(mod, lu)
         raise SolverError(
-            f"steady-state residual {residual:.3e} exceeds {tol:.1e} "
+            f"steady-state residual {residual:.3e} exceeds {_STEADY_RESIDUAL_TOL:.1e} "
             f"(condition estimate {cond:.3e})"
         )
     return DensityMatrix(data=rho, residual=residual)
 
 
+# absolute residual bound ||L vec(rho)||_2 on every steady-state solve
+_STEADY_RESIDUAL_TOL = 1e-8
 # relative residual bound on every leading-order sensor block solve
 _BLOCK_RESIDUAL_TOL = 1e-10
 
@@ -377,7 +377,9 @@ _BLOCK_RESIDUAL_TOL = 1e-10
 class AtomicModel:
     """The atoms-only model of one emitter; :func:`atomic_model` caches it.
 
-    ``superoperator`` is the atomic generator ``L`` (``generator``, dense),
+    It vectorises its own generator, so it leaves the sensor models' cached
+    generator (:func:`build_assembly`) in place.  ``superoperator`` is the
+    atomic generator ``L`` (``generator``, dense),
     ``rho_ss`` its :func:`steady_state`, ``emission`` the emission operator
     ``E`` and ``intensity`` ``<E^dag E>``; its numpy arrays are read-only.  With
     ``x = vec(rho_ss E^dag)`` and the covector ``c`` of ``Tr[E X]``, the field
@@ -394,11 +396,12 @@ class AtomicModel:
     """
 
     def __init__(self, config: EmitterPairConfig):
-        assembly = build_assembly(config, ())
-        self.superoperator = assembly.superoperator
+        self.superoperator = vectorize(
+            build_hamiltonian(config, ()), build_collapse_channels(config, ())
+        )
         self.generator = _read_only(self.superoperator.to_dense())
         self.rho_ss = rho = steady_state(self.superoperator)
-        self.emission = _read_only(emission_operator(config, assembly.layout))
+        self.emission = _read_only(emission_operator(config, HilbertLayout(config.atom_count)))
         raising = self.emission.conj().T
         self.intensity = float(np.real(expectation(raising @ self.emission, rho.data)))
         rho_vec = _vec(rho.data)

@@ -98,11 +98,17 @@ class CorrelationPoint:
     sensor_linewidth: float
 
 
-def g1(config: EmitterPairConfig, tau_grid):
-    """Normalized first-order field correlation on a nonnegative tau grid."""
+def _emitting_model(config, output):
+    """The emitter's cached atomic model; ``ValueError`` if it does not emit."""
     model = atomic_model(config)
     if model.intensity <= 0.0 or config.rabi == 0.0:
-        raise ValueError("zero emitted intensity: g1 is undefined without drive")
+        raise ValueError(f"zero emitted intensity: {output} is undefined without drive")
+    return model
+
+
+def g1(config: EmitterPairConfig, tau_grid):
+    """Normalized first-order field correlation on a nonnegative tau grid."""
+    model = _emitting_model(config, "g1")
     emission = model.emission
     values = two_time_correlator(
         model.superoperator, [emission.conj().T], [], emission, tau_grid, rho_ss=model.rho_ss
@@ -163,9 +169,7 @@ def spectrum_fourier(
     ``narrow_line`` when its half-width is below the grid spacing.  Positive
     ``w`` lies above the laser, as for the sensor scan.
     """
-    model = atomic_model(config)
-    if model.intensity <= 0.0 or config.rabi == 0.0:
-        raise ValueError("zero emitted intensity: spectrum is undefined")
+    model = _emitting_model(config, "spectrum")
     if omega_grid is None:
         omega_grid = default_omega_grid(config)
     omega_grid = np.asarray(omega_grid, dtype=float)
@@ -200,9 +204,7 @@ def spectrum_sensor_scan(
     """
     if sensor_linewidth <= 0.0:
         raise ValueError("sensor linewidth must be positive")
-    model = atomic_model(config)
-    if model.intensity <= 0.0 or config.rabi == 0.0:
-        raise ValueError("zero emitted intensity: spectrum is undefined")
+    model = _emitting_model(config, "spectrum")
     if omega_grid is None:
         omega_grid = default_omega_grid(config)
     omega_grid = np.asarray(omega_grid, dtype=float)
@@ -220,9 +222,7 @@ def spectrum_sensor_scan(
 
 def g2_unfiltered(config: EmitterPairConfig, tau_grid):
     """Frequency-blind intensity correlation of the total field."""
-    if config.rabi <= 0.0:
-        raise ValueError("g2 requires a driven system")
-    model = atomic_model(config)
+    model = _emitting_model(config, "g2")
     emission = model.emission
     raising = emission.conj().T
     numerator = two_time_correlator(

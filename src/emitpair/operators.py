@@ -2,7 +2,7 @@
 
 Hamiltonians, jump operators and sensor readouts are plain ``complex128``
 numpy arrays built from tensor products of 2x2 blocks embedded into a
-labelled chain of sites (atoms first, then sensors).  Two atoms and at most
+chain of sites (atoms first, then sensors).  Two atoms and at most
 four sensors make them at most 64x64.  Only the Lindblad superoperator
 (16 to 4096 dims) is sparse, held by :class:`SparseComplexMatrix`.
 """
@@ -29,14 +29,15 @@ __all__ = [
 class SparseComplexMatrix:
     """Superoperator as canonical complex CSR in ``csr`` (treat as read-only).
 
-    Duplicate coordinates are summed and exact zeros discarded on
-    construction, so it can be shared freely across parallel sweep workers.
+    The argument is copied, then duplicate coordinates are summed and exact
+    zeros discarded, so the caller's matrix is left as it was and this one can
+    be shared freely across parallel sweep workers.
     """
 
     __slots__ = ("csr",)
 
     def __init__(self, csr: sp.csr_matrix):
-        csr = sp.csr_matrix(csr, dtype=np.complex128)
+        csr = sp.csr_matrix(csr, dtype=np.complex128, copy=True)
         csr.eliminate_zeros()
         csr.sum_duplicates()
         self.csr = csr
@@ -47,43 +48,31 @@ class SparseComplexMatrix:
 
 @dataclass(frozen=True)
 class HilbertLayout:
-    """Ordered chain of two-level sites: atoms first, then sensors."""
+    """Chain of ``atoms`` two-level atoms followed by ``sensors`` two-level
+    sensors."""
 
-    site_labels: tuple
-    site_dims: tuple
+    atoms: int
+    sensors: int = 0
 
     def __post_init__(self):
-        if len(self.site_labels) != len(self.site_dims):
-            raise ValueError("site_labels and site_dims must have equal length")
-        for d in self.site_dims:
-            if d != 2:
-                raise ValueError("only two-level sites are supported")
-        for lab in self.site_labels:
-            if lab not in ("atom", "sensor"):
-                raise ValueError(f"unknown site label {lab!r}")
-
-    @classmethod
-    def for_system(cls, atom_count, sensor_count=0):
-        if atom_count < 1:
+        if self.atoms < 1:
             raise ValueError("need at least one atom")
-        labels = ("atom",) * atom_count + ("sensor",) * sensor_count
-        return cls(site_labels=labels, site_dims=(2,) * len(labels))
 
     @property
     def site_count(self):
-        return len(self.site_labels)
+        return self.atoms + self.sensors
 
     @property
     def dimension(self):
-        return int(np.prod(self.site_dims)) if self.site_dims else 1
+        return 2**self.site_count
 
     @property
     def atom_sites(self):
-        return [i for i, lab in enumerate(self.site_labels) if lab == "atom"]
+        return list(range(self.atoms))
 
     @property
     def sensor_sites(self):
-        return [i for i, lab in enumerate(self.site_labels) if lab == "sensor"]
+        return list(range(self.atoms, self.site_count))
 
 
 def _read_only(entries):

@@ -1,8 +1,12 @@
 """Every name the package and its modules export resolves, and so does every
-binding the benchmark traces; one version."""
+binding the benchmark traces; one version; every package the tests import is
+declared."""
 
+import ast
 import importlib
 import pkgutil
+import re
+import sys
 import tomllib
 from pathlib import Path
 
@@ -23,10 +27,29 @@ def test_every_exported_name_resolves(module_name):
     assert missing == []
 
 
+def _project():
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        return tomllib.load(fh)["project"]
+
+
 def test_pyproject_version_is_the_package_version():
-    pyproject = ROOT / "pyproject.toml"
-    with open(pyproject, "rb") as fh:
-        assert tomllib.load(fh)["project"]["version"] == emitpair.__version__
+    assert _project()["version"] == emitpair.__version__
+
+
+def test_every_third_party_test_import_is_declared():
+    # ``pip install .[test]`` must be enough to collect every test file
+    project = _project()
+    requirements = project["dependencies"] + project["optional-dependencies"]["test"]
+    declared = {re.match(r"[\w.-]+", req).group().lower().replace("-", "_") for req in requirements}
+    imported = set()
+    for path in (ROOT / "tests").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    local = set(sys.stdlib_module_names) | {"emitpair", "perfbench"}
+    assert sorted(imported - local - declared) == []
 
 
 def test_every_binding_the_benchmark_traces_resolves(monkeypatch):

@@ -93,7 +93,7 @@ def test_laser_phases_enter_drive_term():
     # laser along the interatomic axis: opposite phases on the two emitters
     cfg = ep.EmitterPairConfig(kr12=1.0, rabi=2.0, laser_direction=(1.0, 0.0, 0.0))
     h = build_hamiltonian(cfg, ())
-    layout = HilbertLayout.for_system(2)
+    layout = HilbertLayout(2)
     lower0 = embed(sigma_minus(), 0, layout)
     phase = 0.5  # k . r for the first emitter is -kr/2
     drive0 = 1.0 * (np.exp(1j * phase) * lower0 + np.exp(-1j * phase) * lower0.conj().T)
@@ -132,7 +132,7 @@ def test_near_dicke_limit_rates():
 def test_collective_channels_equal_raw_cross_damping_dissipator(pair_config):
     # same Lindbladian as the site-basis double sum with the cross terms
     coeffs = ep.dipole_coefficients(pair_config)
-    layout = HilbertLayout.for_system(2)
+    layout = HilbertLayout(2)
     s = [embed(sigma_minus(), i, layout) for i in range(2)]
     g = [[1.0, coeffs.gamma12], [coeffs.gamma12, 1.0]]
     rng = np.random.default_rng(7)
@@ -323,6 +323,22 @@ def test_steady_state_invariants(pair_config):
     assert rho.hermiticity_defect() < 1e-10
     assert rho.min_eigenvalue() > -1e-8
     assert rho.residual < 1e-10
+
+
+def test_steady_state_failure_names_residual_and_condition_estimate():
+    # emitters 1e-100 wavelengths apart: the atomic solve leaves a residual ~0.85
+    with pytest.raises(
+        SolverError, match=r"residual 8\.\d+e-01 exceeds 1\.0e-08 \(condition estimate \d"
+    ):
+        atomic_model(ep.EmitterPairConfig(kr12=1e-100))
+
+
+def test_density_matrix_leaves_the_callers_array_writable():
+    data = np.diag([1.0, 0.0]).astype(complex)
+    state = DensityMatrix(data=data)
+    assert data.flags.writeable and not state.data.flags.writeable
+    data[0, 0] = 0.5
+    assert state.data[0, 0] == 1.0
 
 
 def test_sensor_population_scales_as_epsilon_squared(pair_config):
@@ -617,3 +633,13 @@ def test_atomic_model_is_read_only_and_shared_across_emitters():
     for cfg, got in zip(order, alternating):
         for a, b in zip(got, fresh[cfg]):
             np.testing.assert_array_equal(a, b)
+
+
+def test_atomic_model_leaves_the_sensor_generator_cached(asym_config, pair_config):
+    sensors = (SensorSpec(10.0, 5.0), SensorSpec(-20.0, 5.0))
+    atomic_model.cache_clear()
+    build_assembly(asym_config, sensors)
+    misses = _detuning_free_generator.cache_info().misses
+    atomic_model(pair_config)
+    build_assembly(asym_config, sensors)
+    assert _detuning_free_generator.cache_info().misses == misses

@@ -32,7 +32,7 @@ def lorentzian(x, hwhm):
 
 def test_field_operator_coincident_phase_limit():
     cfg = ep.EmitterPairConfig(kr12=1e-6, rabi=1.0, detection_direction=(1.0, 0.0, 0.0))
-    layout = HilbertLayout.for_system(2)
+    layout = HilbertLayout(2)
     em = emission_operator(cfg, layout)
     entries = em[np.abs(em) > 1e-12]
     # equal amplitudes up to a global phase
@@ -72,9 +72,16 @@ def test_g1_bounded_by_one(pair_config):
 
 
 def test_g1_requires_drive():
+    # one guard for every output of the atomic model's field
     cfg = ep.EmitterPairConfig(atom_count=1, rabi=0.0)
-    with pytest.raises(ValueError, match="undefined without drive"):
-        ep.g1(cfg, [0.0])
+    for output, grid in (
+        (ep.g1, [0.0]),
+        (ep.spectrum_fourier, [-1.0, 0.0, 1.0]),
+        (ep.spectrum_sensor_scan, [-1.0, 0.0, 1.0]),
+        (ep.g2_unfiltered, [0.0]),
+    ):
+        with pytest.raises(ValueError, match="zero emitted intensity: .* undefined without drive"):
+            output(cfg, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -40,9 +40,22 @@ def test_exact_zero_entries_eliminated():
     np.testing.assert_array_equal(m.to_dense(), [[0.0, 0.0], [0.0, 2.0]])
 
 
+def test_constructor_leaves_the_callers_matrix_as_it_was():
+    # [[1, 0], [0, 2]] with the zero stored: only the copy drops it
+    data = np.array([1.0, 0.0, 2.0], dtype=np.complex128)
+    csr = sp.csr_matrix((data, [0, 1, 1], [0, 2, 3]), shape=(2, 2))
+    assert SparseComplexMatrix(csr).csr.nnz == 2
+    assert csr.nnz == 3
+    np.testing.assert_array_equal(csr.data, [1.0, 0.0, 2.0])
+    # and read-only arrays are only read
+    for arr in (csr.data, csr.indices, csr.indptr):
+        arr.flags.writeable = False
+    np.testing.assert_array_equal(SparseComplexMatrix(csr).to_dense(), [[1.0, 0.0], [0.0, 2.0]])
+
+
 def test_kron_lowers_first_site():
     # first factor is site 0: sigma_minus on site 0 maps |ee> to |ge>
-    op = embed(sigma_minus(), 0, HilbertLayout.for_system(2))
+    op = embed(sigma_minus(), 0, HilbertLayout(2))
     up_up = np.zeros(4)
     up_up[3] = 1.0  # |e e> = index 1*2 + 1
     out = op @ up_up
@@ -52,7 +65,7 @@ def test_kron_lowers_first_site():
 
 
 def test_embed_matches_explicit_kron(rng):
-    layout = HilbertLayout.for_system(2, 2)
+    layout = HilbertLayout(2, 2)
     local = random_dense(rng, 2, 2)
     embedded = embed(local, 2, layout)
     i2 = np.eye(2)
@@ -61,7 +74,7 @@ def test_embed_matches_explicit_kron(rng):
 
 
 def test_embed_is_read_only_and_cached():
-    layout = HilbertLayout.for_system(2, 1)
+    layout = HilbertLayout(2, 1)
     op = embed(sigma_minus(), 2, layout)
     with pytest.raises(ValueError, match="read-only"):
         op[0, 0] = 1.0
@@ -71,7 +84,7 @@ def test_embed_is_read_only_and_cached():
 
 
 def test_embed_lowering_acts_on_named_site():
-    layout = HilbertLayout.for_system(2)
+    layout = HilbertLayout(2)
     op = embed(sigma_minus(), 0, layout)
     state = np.zeros(4)
     state[2] = 1.0  # |e g>
@@ -82,27 +95,27 @@ def test_embed_lowering_acts_on_named_site():
 
 
 def test_embed_number_eigenvalues():
-    layout = HilbertLayout.for_system(2)
+    layout = HilbertLayout(2)
     n1 = embed(number_op(), 1, layout)
     vals = np.sort(np.linalg.eigvalsh(n1))
     np.testing.assert_allclose(vals, [0.0, 0.0, 1.0, 1.0], atol=1e-14)
 
 
 def test_embedded_operators_on_distinct_sites_commute():
-    layout = HilbertLayout.for_system(2, 1)
+    layout = HilbertLayout(2, 1)
     a = embed(sigma_minus(), 0, layout)
     b = embed(sigma_minus(), 2, layout)
     assert not np.any(a @ b - b @ a)
 
 
 def test_embed_site_out_of_range():
-    layout = HilbertLayout.for_system(2)
+    layout = HilbertLayout(2)
     with pytest.raises(ValueError, match="out of range"):
         embed(sigma_minus(), 2, layout)
 
 
 def test_embed_rejects_non_two_level():
-    layout = HilbertLayout.for_system(2)
+    layout = HilbertLayout(2)
     with pytest.raises(ValueError, match="2x2"):
         embed(np.eye(4), 0, layout)
 
@@ -130,7 +143,7 @@ def test_expectation_dimension_mismatch():
 
 
 def test_layout_dimension_bookkeeping():
-    layout = HilbertLayout.for_system(2, 4)
+    layout = HilbertLayout(2, 4)
     assert layout.site_count == 6
     assert layout.dimension == 64
     assert layout.atom_sites == [0, 1]
@@ -139,6 +152,6 @@ def test_layout_dimension_bookkeeping():
     assert layout.dimension**2 == 4096
 
 
-def test_layout_rejects_unknown_labels():
-    with pytest.raises(ValueError, match="unknown site label"):
-        HilbertLayout(site_labels=("atom", "cavity"), site_dims=(2, 2))
+def test_layout_needs_an_atom():
+    with pytest.raises(ValueError, match="at least one atom"):
+        HilbertLayout(0, 2)
