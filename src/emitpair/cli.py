@@ -6,6 +6,11 @@
     emitpair presets list
     emitpair validate <config-or-preset>
 
+``--out``, ``--format`` and ``--workers`` set ``output.path``,
+``output.format`` and ``run.workers`` and win over ``--set``.  ``validate``
+also builds the emitter's atomic model, so an emitter the steady-state solver
+cannot certify is a configuration error.
+
 Exit codes: 0 success, 1 configuration error, 2 runtime error, 3 success with
 flagged points present in the output.
 """
@@ -17,6 +22,7 @@ import sys
 from importlib import resources
 
 from .config import ConfigError, load_config, parse_overrides
+from .liouville import SolverError, atomic_model
 from .sweep import SweepInterrupted, run_sweep, write_result
 
 EXIT_OK = 0
@@ -76,10 +82,10 @@ def _build_parser():
         metavar="SECTION.KEY=VALUE",
         help="override a config value (repeatable)",
     )
-    run.add_argument("--workers", type=int, default=None, help="worker processes")
+    run.add_argument("--workers", default=None, help="sets run.workers")
     run.add_argument("--resume", default=None, metavar="CHECKPOINT")
-    run.add_argument("--out", default=None, help="output path (overrides config)")
-    run.add_argument("--format", default=None, choices=("csv", "json"))
+    run.add_argument("--out", default=None, help="sets output.path")
+    run.add_argument("--format", default=None, help="sets output.format")
     run.add_argument(
         "--no-timestamp",
         action="store_true",
@@ -107,28 +113,30 @@ def main(argv=None) -> int:
 
     try:
         overrides = parse_overrides(args.overrides)
-        source = _resolve_source(args.config)
-        cfg = load_config(source, overrides)
+        if args.command == "run":  # the flags win over --set
+            flags = (("output", "path", args.out), ("output", "format", args.format),
+                     ("run", "workers", args.workers))
+            for sect, key, value in flags:
+                if value is not None:
+                    overrides.setdefault(sect, {})[key] = value
+        cfg = load_config(_resolve_source(args.config), overrides)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     if args.command == "validate":
+        try:
+            atomic_model(cfg.emitter)
+        except SolverError as exc:
+            print(f"config error: emitter: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
         for key, value in cfg.echo.items():
             print(f"{key} = {value}")
         return EXIT_OK
 
-    out_path = args.out or cfg.output_path
-    out_format = args.format or cfg.output_format
     try:
-        table = run_sweep(
-            cfg,
-            workers=args.workers,
-            resume_from=args.resume,
-            checkpoint_path=out_path + ".ckpt",
-            timestamp=not args.no_timestamp,
-        )
-        write_result(table, out_path, out_format)
+        table = run_sweep(cfg, resume_from=args.resume, timestamp=not args.no_timestamp)
+        write_result(table, cfg.output_path, cfg.output_format)
     except SweepInterrupted as exc:
         print(f"interrupted: {exc} (resume with --resume {exc.checkpoint_path})",
               file=sys.stderr)
@@ -139,9 +147,9 @@ def main(argv=None) -> int:
 
     flagged = table.flagged_count
     if flagged:
-        print(f"wrote {out_path} ({len(table.rows)} rows, {flagged} flagged)")
+        print(f"wrote {cfg.output_path} ({len(table.rows)} rows, {flagged} flagged)")
         return EXIT_PARTIAL
-    print(f"wrote {out_path} ({len(table.rows)} rows)")
+    print(f"wrote {cfg.output_path} ({len(table.rows)} rows)")
     return EXIT_OK
 
 

@@ -42,7 +42,6 @@ use and numbers that are not finite are rejected):
 
     [run]
     workers = 1                  # 0 = one per available CPU
-    checkpoint_every = 500
 
 Frequency tokens are either plain floats or signed dressed-gap names
 (``d12``, ``d23``, ``d13``, e.g. ``-d23``), resolved from the emitter
@@ -53,7 +52,6 @@ from __future__ import annotations
 
 import configparser
 import functools
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -90,7 +88,6 @@ class RunConfig:
     output_path: str
     output_format: str
     workers: int
-    checkpoint_every: int
     echo: dict = field(default_factory=dict)
 
 
@@ -192,7 +189,6 @@ _KEYS = {
     "output.path": (str, "result.csv", None, None),
     "output.format": (_word, "csv", _choice(("csv", "json")), None),
     "run.workers": (_integer, 1, (lambda v: v >= 0, "must be >= 0 (0 = auto)"), None),
-    "run.checkpoint_every": (_integer, 500, (lambda v: v >= 1, "must be >= 1"), None),
 }
 
 
@@ -230,23 +226,18 @@ def _axis(values, keys, defaults, strict=True):
     return lo, hi, count
 
 
-def load_config(source, overrides=None) -> RunConfig:
-    """Load, override, validate and resolve a run configuration.
+def load_config(text, overrides=None) -> RunConfig:
+    """Parse, override, validate and resolve a run configuration.
 
-    ``source`` is a file path or a string of config text.  ``overrides`` is a
-    nested ``{section: {key: value}}`` dict (see :func:`parse_overrides`)
-    applied before validation.  Every effective value, defaults included, ends
-    up in ``RunConfig.echo``.
+    ``text`` is config text (the CLI reads files and presets).  ``overrides``
+    is a nested ``{section: {key: text}}`` dict (see :func:`parse_overrides`)
+    applied before validation, so its values are parsed and checked like the
+    file's.  Every effective value, defaults included, ends up in
+    ``RunConfig.echo``.
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        if isinstance(source, str) and "\n" in source:
-            parser.read_file(io.StringIO(source))
-        else:
-            with open(source, "r", encoding="utf-8") as fh:
-                parser.read_file(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
+        parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
 
@@ -342,7 +333,6 @@ def load_config(source, overrides=None) -> RunConfig:
         output_path=values["output.path"],
         output_format=values["output.format"],
         workers=values["run.workers"],
-        checkpoint_every=values["run.checkpoint_every"],
         echo=echo,
     )
 

@@ -46,7 +46,6 @@ __all__ = [
     "g2_unfiltered",
     "sensor_g2",
     "sensor_g2_tau",
-    "default_spectrum_window",
     "default_omega_grid",
     "find_local_maxima",
 ]
@@ -116,13 +115,8 @@ def g1(config: EmitterPairConfig, tau_grid):
     return [v / model.intensity for v in values]
 
 
-def default_spectrum_window(config: EmitterPairConfig) -> float:
-    """Half-width of the default frequency window: outermost sideband + 10."""
-    return dressed_triplet(config, effective_coefficients(config)).spectrum_window
-
-
 def default_omega_grid(config: EmitterPairConfig, count=401):
-    half = default_spectrum_window(config)
+    half = dressed_triplet(config, effective_coefficients(config)).spectrum_window
     return np.linspace(-half, half, count)
 
 

@@ -42,6 +42,8 @@ __all__ = [
 ]
 
 STATUS_OK = "ok"
+# completed grid points between two checkpoint writes
+CHECKPOINT_EVERY = 500
 
 
 class SweepInterrupted(RuntimeError):
@@ -169,19 +171,17 @@ def _spectrum_rows(cfg: RunConfig):
             sensor_linewidth=cfg.sensor_linewidth,
             normalize=False,
         )
-        columns = ["omega", "value", "status"]
-        rows = [(float(w), float(v), STATUS_OK) for w, v in zip(result.omega_grid, result.values)]
-        return columns, rows, {}
-    result = spectrum_fourier(cfg.emitter, omega_grid=grid)
-    columns = ["omega", "value"]
+        extra = {}
+    else:
+        result = spectrum_fourier(cfg.emitter, omega_grid=grid)
+        extra = {"spectrum.elastic_weight": result.elastic_weight}
+        if result.narrow_line is not None:
+            weight, center, hwhm = result.narrow_line
+            extra["spectrum.narrow_line_weight"] = weight
+            extra["spectrum.narrow_line_center"] = center
+            extra["spectrum.narrow_line_hwhm"] = hwhm
     rows = [(float(w), float(v)) for w, v in zip(result.omega_grid, result.values)]
-    extra = {"spectrum.elastic_weight": result.elastic_weight}
-    if result.narrow_line is not None:
-        weight, center, hwhm = result.narrow_line
-        extra["spectrum.narrow_line_weight"] = weight
-        extra["spectrum.narrow_line_center"] = center
-        extra["spectrum.narrow_line_hwhm"] = hwhm
-    return columns, rows, extra
+    return ["omega", "value"], rows, extra
 
 
 def _g2tau_rows(cfg: RunConfig):
@@ -274,7 +274,6 @@ def _base_header(cfg: RunConfig, timestamp):
 def run_sweep(
     cfg: RunConfig,
     workers: int | None = None,
-    checkpoint_path: str | None = None,
     resume_from: str | None = None,
     timestamp: bool = True,
 ) -> ResultTable:
@@ -282,9 +281,10 @@ def run_sweep(
 
     Grid tasks are dispatched to ``workers`` processes (default from the
     config; 0 means one per CPU) with rows emitted in grid order.  Completed
-    points are checkpointed every ``cfg.checkpoint_every`` results; pass
-    ``resume_from`` to continue an interrupted sweep.  A keyboard interrupt
-    writes the checkpoint and raises :class:`SweepInterrupted`.
+    points are checkpointed to ``<cfg.output_path>.ckpt`` every
+    ``CHECKPOINT_EVERY`` results; pass ``resume_from`` to continue an
+    interrupted sweep.  A keyboard interrupt writes the checkpoint and raises
+    :class:`SweepInterrupted`.
     """
     start = time.monotonic()
     header = _base_header(cfg, timestamp)
@@ -300,7 +300,7 @@ def run_sweep(
     done = {}
     if resume_from:
         done = _load_checkpoint(resume_from, fingerprint)
-    ckpt = checkpoint_path or (cfg.output_path + ".ckpt")
+    ckpt = cfg.output_path + ".ckpt"
 
     pending = [
         (i, cfg.task, cfg.emitter, cfg.sensor_linewidth, cfg.epsilon, pair)
@@ -315,7 +315,7 @@ def run_sweep(
         nonlocal since_checkpoint
         done[index] = (row, status)
         since_checkpoint += 1
-        if since_checkpoint >= cfg.checkpoint_every:
+        if since_checkpoint >= CHECKPOINT_EVERY:
             _write_checkpoint(ckpt, fingerprint, done)
             since_checkpoint = 0
 

@@ -38,6 +38,11 @@ def test_paper_preset_loads_with_defaults(recwarn):
     assert not recwarn.list
 
 
+def test_single_line_text_is_config_text():
+    # config text, never a file name, even without a newline
+    assert load_config("[task]").task == "spectrum"
+
+
 def test_defaults_echoed():
     cfg = load_config("[task]\nkind = spectrum\n")
     assert cfg.echo["sensors.epsilon"] == 1e-4
@@ -181,14 +186,15 @@ def test_axis_points_materialization():
 def test_output_and_run_sections():
     cfg = load_config(
         "[task]\nkind = dressed\n\n[output]\npath = out.json\nformat = json\n"
-        "\n[run]\nworkers = 4\ncheckpoint_every = 10\n"
+        "\n[run]\nworkers = 4\n"
     )
     assert cfg.output_path == "out.json"
     assert cfg.output_format == "json"
     assert cfg.workers == 4
-    assert cfg.checkpoint_every == 10
     with pytest.raises(ConfigError, match=r"output\.format"):
         load_config("[task]\nkind = dressed\n\n[output]\nformat = hdf5\n")
+    with pytest.raises(ConfigError, match=r"run\.checkpoint_every: unknown key"):
+        load_config("[run]\ncheckpoint_every = 10\n")
 
 
 @pytest.mark.parametrize(
@@ -244,7 +250,7 @@ _HEAD = [
 ]
 _GRID = ["grid.omega_min", "grid.omega_max", "grid.count"]
 _GRID2 = ["grid.omega2_min", "grid.omega2_max", "grid.omega2_count"]
-_TAIL = ["output.path", "output.format", "run.workers", "run.checkpoint_every"]
+_TAIL = ["output.path", "output.format", "run.workers"]
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,6 @@ from emitpair.liouville import (
 from emitpair.observables import (
     UndefinedCorrelationError,
     default_omega_grid,
-    default_spectrum_window,
     find_local_maxima,
 )
 from emitpair.operators import HilbertLayout, embed, expectation, number_op
@@ -289,7 +288,9 @@ def test_default_window_covers_outermost_sideband(pair_config_module):
     tri = ep.dressed_triplet(
         pair_config_module, ep.dipole_coefficients(pair_config_module)
     )
-    assert default_spectrum_window(pair_config_module) == pytest.approx(tri.d13 + 10.0)
+    grid = default_omega_grid(pair_config_module)
+    assert grid[0] == pytest.approx(-(tri.d13 + 10.0))
+    assert grid[-1] == pytest.approx(tri.d13 + 10.0)
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,11 @@ omega2_count = 2
 """
 
 
+def _load_at(text, path):
+    """``text`` with ``output.path = path``, so the sweep checkpoints to ``path.ckpt``."""
+    return load_config(text, parse_overrides([f"output.path={path}"]))
+
+
 def test_dressed_task_values(tmp_path):
     cfg = load_config("[task]\nkind = dressed\n")
     table = run_sweep(cfg, timestamp=False)
@@ -88,6 +93,7 @@ def test_spectrum_sensor_task_matches_library():
         "[grid]\nomega_min = -5\nomega_max = 5\ncount = 3\n"
     )
     table = run_sweep(cfg, timestamp=False)
+    assert table.columns == ["omega", "value"]
     scan = ep.spectrum_sensor_scan(
         cfg.emitter,
         omega_grid=np.array([-5.0, 0.0, 5.0]),
@@ -133,12 +139,12 @@ def test_flagged_rows_instead_of_abort():
 
 def test_point_tasks_compute_on_the_configured_emitter(tmp_path):
     # a point must see every emitter field, not a rebuilt copy
-    cfg = load_config(SMALL_MAP)
+    cfg = _load_at(SMALL_MAP, tmp_path / "map.csv")
     emitter = dataclasses.replace(cfg.emitter, laser_direction=(1.0, 0.0, 0.0))
     cfg = dataclasses.replace(
         cfg, emitter=emitter, omega_axis=(25.0, 25.0, 1), omega2_axis=(-25.0, -25.0, 1)
     )
-    table = run_sweep(cfg, checkpoint_path=str(tmp_path / "ckpt"), timestamp=False)
+    table = run_sweep(cfg, timestamp=False)
     assert table.rows[0][2] == ep.sensor_g2(emitter, 25.0, -25.0, 1.0).g2
 
 
@@ -208,45 +214,44 @@ def _interrupt_on_call(monkeypatch, n, task="g2map"):
 
 
 def test_interrupt_and_resume_reproduces_full_table(tmp_path, monkeypatch):
-    cfg = load_config(SMALL_MAP, parse_overrides(["run.checkpoint_every=2"]))
-    ckpt = tmp_path / "map.ckpt"
+    monkeypatch.setattr(sweep, "CHECKPOINT_EVERY", 2)
+    cfg = _load_at(SMALL_MAP, tmp_path / "map.csv")
+    ckpt = tmp_path / "map.csv.ckpt"
     full = run_sweep(cfg, workers=1, timestamp=False)
     with monkeypatch.context() as patch:
         _interrupt_on_call(patch, 6)
         with pytest.raises(SweepInterrupted) as info:
-            run_sweep(cfg, workers=1, checkpoint_path=str(ckpt), timestamp=False)
+            run_sweep(cfg, workers=1, timestamp=False)
     assert info.value.checkpoint_path == str(ckpt)
     # the interrupt saves the fifth point too, past the periodic checkpoint at four
     assert len(json.loads(ckpt.read_text())["completed"]) == 5
-    resumed = run_sweep(
-        cfg, workers=1, checkpoint_path=str(ckpt), resume_from=str(ckpt), timestamp=False
-    )
+    resumed = run_sweep(cfg, workers=1, resume_from=str(ckpt), timestamp=False)
     assert resumed.rows == full.rows
     assert not ckpt.exists()  # consumed on success
 
 
 def test_resume_rejects_other_config(tmp_path, monkeypatch):
-    cfg = load_config(SMALL_MAP, parse_overrides(["run.checkpoint_every=1"]))
-    ckpt = tmp_path / "x.ckpt"
+    monkeypatch.setattr(sweep, "CHECKPOINT_EVERY", 1)
+    cfg = _load_at(SMALL_MAP, tmp_path / "x.csv")
+    ckpt = tmp_path / "x.csv.ckpt"
     _interrupt_on_call(monkeypatch, 3)
     with pytest.raises(SweepInterrupted):
-        run_sweep(cfg, workers=1, checkpoint_path=str(ckpt), timestamp=False)
+        run_sweep(cfg, workers=1, timestamp=False)
     other = load_config(SMALL_MAP, parse_overrides(["emitter.rabi=25"]))
     with pytest.raises(ValueError, match="different configuration"):
         run_sweep(other, resume_from=str(ckpt), timestamp=False)
 
 
 def test_resume_rejects_a_checkpoint_of_another_engine_version(tmp_path, monkeypatch):
-    cfg = load_config(
-        "[task]\nkind = bell\nline_sum = 0\n\n[grid]\ncount = 3\n",
-        parse_overrides(["run.checkpoint_every=1"]),
-    )
-    ckpt = tmp_path / "bell.ckpt"
+    monkeypatch.setattr(sweep, "CHECKPOINT_EVERY", 1)
+    bell = "[task]\nkind = bell\nline_sum = 0\n\n[grid]\ncount = 3\n"
+    cfg = _load_at(bell, tmp_path / "bell.csv")
+    ckpt = tmp_path / "bell.csv.ckpt"
     with monkeypatch.context() as patch:
         patch.setattr(sweep, "__version__", "0.1.0")  # the four-sensor engine
         _interrupt_on_call(patch, 2, task="bell")
         with pytest.raises(SweepInterrupted):
-            run_sweep(cfg, workers=1, checkpoint_path=str(ckpt), timestamp=False)
+            run_sweep(cfg, workers=1, timestamp=False)
     assert len(json.loads(ckpt.read_text())["completed"]) == 1
     with pytest.raises(ValueError, match="engine version"):
         run_sweep(cfg, workers=1, resume_from=str(ckpt), timestamp=False)
@@ -297,20 +302,19 @@ def test_flagged_rows_are_strict_json(tmp_path):
 
 
 def test_checkpoint_with_flagged_row_resumes(tmp_path, monkeypatch):
-    cfg = load_config(FLAGGED_MAP, parse_overrides(["run.checkpoint_every=1"]))
-    ckpt = tmp_path / "flagged.ckpt"
+    monkeypatch.setattr(sweep, "CHECKPOINT_EVERY", 1)
+    cfg = _load_at(FLAGGED_MAP, tmp_path / "flagged.csv")
+    ckpt = tmp_path / "flagged.csv.ckpt"
     with monkeypatch.context() as patch:
         _interrupt_on_call(patch, 3)
         with pytest.raises(SweepInterrupted):
-            run_sweep(cfg, workers=1, checkpoint_path=str(ckpt), timestamp=False)
+            run_sweep(cfg, workers=1, timestamp=False)
     payload = _strict_json(ckpt.read_text())
     assert [row for row, _ in payload["completed"].values()] == [
         [49000.0, -51000.0, None],
         [49000.0, -49000.0, None],
     ]
-    resumed = run_sweep(
-        cfg, workers=1, checkpoint_path=str(ckpt), resume_from=str(ckpt), timestamp=False
-    )
+    resumed = run_sweep(cfg, workers=1, resume_from=str(ckpt), timestamp=False)
     assert resumed.flagged_count == 4
     assert all(math.isnan(row[2]) for row in resumed.rows)
     assert not ckpt.exists()
@@ -367,6 +371,12 @@ def test_cli_unknown_config_is_config_error(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_cli_validate_refuses_an_emitter_the_solver_cannot_certify(capsys):
+    # the dressed triplet is finite, but the atomic steady state fails its check
+    assert main(["validate", "fig2c", "--set", "emitter.kr12=1e-100"]) == EXIT_CONFIG
+    assert "config error: emitter: steady-state residual" in capsys.readouterr().err
+
+
 def test_cli_bad_override_is_config_error(capsys):
     assert main(["validate", "fig1b", "--set", "emitter.kr12=-2"]) == EXIT_CONFIG
     assert "emitter.kr12" in capsys.readouterr().err
@@ -392,13 +402,16 @@ def test_cli_normalizes_extreme_directions(capsys):
 
 @pytest.mark.parametrize("preset", ["fig3c", "fig4c"])
 def test_bell_presets_run_whole(preset, tmp_path, capsys):
-    # the shipped 81-point Bell lines, twice, through the CLI at one worker
-    paths = [tmp_path / f"{preset}-{i}.csv" for i in (1, 2)]
-    for path in paths:
-        argv = ["run", preset, "--no-timestamp", "--set", "run.workers=1", "--out", str(path)]
+    # the shipped 81-point Bell lines, twice, through the CLI at one worker; one
+    # path for both runs, since the header echoes it
+    path = tmp_path / f"{preset}.csv"
+    argv = ["run", preset, "--no-timestamp", "--set", "run.workers=1", "--out", str(path)]
+    runs = []
+    for _ in range(2):
         assert main(argv) == EXIT_OK
-    assert paths[0].read_bytes() == paths[1].read_bytes()
-    table = read_result(paths[0])
+        runs.append(path.read_bytes())
+    assert runs[0] == runs[1]
+    table = read_result(path)
     assert len(table.rows) == 81
     assert table.flagged_count == 0
     omega1 = [row[0] for row in table.rows]
@@ -467,8 +480,24 @@ def test_cli_json_format(tmp_path):
     cfg_file.write_text("[task]\nkind = dressed\n")
     out_file = tmp_path / "d.json"
     code = main(
-        ["run", str(cfg_file), "--out", str(out_file), "--format", "json",
-         "--no-timestamp"]
+        ["run", str(cfg_file), "--set", "output.format=csv", "--out", str(out_file),
+         "--format", "json", "--no-timestamp"]
     )
     assert code == EXIT_OK
-    assert json.loads(out_file.read_text())["format"] == "emitpair-result"
+    payload = json.loads(out_file.read_text())
+    assert payload["format"] == "emitpair-result"
+    # the flags are the output keys: they win over --set and the header echoes them
+    assert payload["header"]["output.format"] == "json"
+    assert payload["header"]["output.path"] == str(out_file)
+
+
+@pytest.mark.parametrize(
+    "flag, value, key", [("--workers", "-3", "run.workers"), ("--format", "hdf5", "output.format")]
+)
+def test_cli_flags_are_validated_as_config_keys(flag, value, key, tmp_path, capsys):
+    cfg_file = tmp_path / "d.cfg"
+    cfg_file.write_text("[task]\nkind = dressed\n")
+    out_file = tmp_path / "d.csv"
+    assert main(["run", str(cfg_file), "--out", str(out_file), flag, value]) == EXIT_CONFIG
+    assert f"config error: {key}" in capsys.readouterr().err
+    assert not out_file.exists()
