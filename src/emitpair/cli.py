@@ -8,8 +8,9 @@
 
 ``--out``, ``--format`` and ``--workers`` set ``output.path``,
 ``output.format`` and ``run.workers`` and win over ``--set``.  ``validate``
-also builds the emitter's atomic model, so an emitter the steady-state solver
-cannot certify is a configuration error.
+also builds the emitter's atomic model, so an emitter the model builders
+reject, or whose steady state the solver cannot certify, is a configuration
+error.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime error, 3 success with
 flagged points present in the output.
@@ -53,8 +54,11 @@ def _resolve_source(name):
     import os
 
     if os.path.exists(name):
-        with open(name, "r", encoding="utf-8") as fh:
-            return fh.read()
+        try:
+            with open(name, "r", encoding="utf-8") as fh:
+                return fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config {name}: {exc}") from exc
     for preset, entry in _preset_files():
         if preset == name:
             return entry.read_text(encoding="utf-8")
@@ -127,7 +131,7 @@ def main(argv=None) -> int:
     if args.command == "validate":
         try:
             atomic_model(cfg.emitter)
-        except SolverError as exc:
+        except (SolverError, ValueError) as exc:
             print(f"config error: emitter: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         for key, value in cfg.echo.items():

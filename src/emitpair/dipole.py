@@ -114,7 +114,7 @@ class DipoleCoefficients:
     gamma12: float
 
     def __post_init__(self):
-        if abs(self.gamma12) > 1.0 + 1e-12:
+        if abs(self.gamma12) > 1.0:
             raise ValueError(
                 f"gamma12 = {self.gamma12} exceeds the single-emitter rate"
             )
@@ -191,6 +191,8 @@ def dipole_coefficients(config: EmitterPairConfig) -> DipoleCoefficients:
         sin_x / x**2 + cos_x / x**3
     )
     gamma12 = 1.5 * transverse * sin_x / x + 1.5 * axial * damping_bracket
+    # |gamma12| <= 1 holds exactly; near contact rounding can step past it
+    gamma12 = min(1.0, max(-1.0, gamma12))
     return DipoleCoefficients(delta12=delta12, gamma12=gamma12)
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 
 import numpy as np
@@ -100,10 +100,16 @@ class SensorSpec:
 
 @dataclass(frozen=True)
 class ModelAssembly:
-    """Assembled model: the site layout and the Lindblad superoperator."""
+    """Assembled model: the site layout, the Lindblad superoperator ``L``, a
+    real sparse isometry ``V`` onto the sector that holds its steady state
+    (the identity unless :func:`build_assembly` finds the atoms exchangeable)
+    and ``reduced = V^T L V`` in CSR form.
+    """
 
     layout: HilbertLayout
     superoperator: SparseComplexMatrix
+    isometry: sp.csr_matrix = field(compare=False)  # sparse: left out of == and hash
+    reduced: sp.csr_matrix = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -219,11 +225,6 @@ def build_collapse_channels(config: EmitterPairConfig, sensors):
         channels.append((1.0, embed(sigma_minus(), 0, layout)))
     else:
         coeffs = effective_coefficients(config)
-        if abs(coeffs.gamma12) > 1.0:
-            raise ValueError(
-                f"cross-damping gamma12 = {coeffs.gamma12} gives a negative "
-                "collective decay rate; unphysical"
-            )
         a0, a1 = layout.atom_sites
         s0 = embed(sigma_minus(), a0, layout)
         s1 = embed(sigma_minus(), a1, layout)
@@ -258,16 +259,74 @@ def vectorize(hamiltonian: np.ndarray, channels) -> SparseComplexMatrix:
     return SparseComplexMatrix(gen.tocsr())
 
 
+def _exchange_symmetric(config: EmitterPairConfig) -> bool:
+    """Whether swapping the two atoms commutes with the whole generator.
+
+    It does when laser and detector see both atoms alike, with equal drive
+    phases and equal detection phases: the drive, the exchange coupling and
+    the emission operator are then swap-even, the symmetric collapse channel
+    too, and the antisymmetric one only changes sign.
+    """
+    return (
+        config.atom_count == 2
+        and len(set(config.laser_phases())) == 1
+        and len(set(config.detection_phases())) == 1
+    )
+
+
+def _exchange_isometry(layout: HilbertLayout):
+    """``V`` onto the ``vec(rho)`` that the atom swap ``rho -> P rho P``
+    leaves unchanged, and each column's smallest basis index.
+
+    The swap permutes the basis of ``vec(rho)``; each fixed basis vector is
+    one column, each swapped pair ``k, k'`` the column ``(e_k + e_k') / sqrt2``,
+    in the order of the smaller index, so column 0 is ``e_0``.
+    """
+    dim = layout.dimension
+    state = np.arange(dim)
+    low = layout.site_count - 2  # bit of atom 1; atom 0 is the next one up
+    differ = ((state >> low) ^ (state >> (low + 1))) & 1
+    swapped = state ^ (differ * (3 << low))
+    k = np.arange(dim * dim)
+    image = swapped[k // dim] * dim + swapped[k % dim]
+    reps = np.flatnonzero(k <= image)
+    partners = image[reps]
+    pairs = np.flatnonzero(partners != reps)
+    rows = np.concatenate((reps, partners[pairs]))
+    cols = np.concatenate((np.arange(reps.size), pairs))
+    vals = np.ones(rows.size)
+    vals[pairs] = vals[reps.size :] = 1.0 / math.sqrt(2.0)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(k.size, reps.size)), reps
+
+
+# ||L V - V (V^T L V)||_F relative to ||L||_F that certifies the reduction
+_EXCHANGE_DEFECT_TOL = 1e-13
+
+
 @lru_cache(maxsize=1)
-def _detuning_free_generator(config: EmitterPairConfig, sensor_rates) -> SparseComplexMatrix:
+def _detuning_free_generator(config: EmitterPairConfig, sensor_rates):
     """Superoperator with every sensor at zero frequency, one per sweep.
 
-    ``sensor_rates`` holds each sensor's ``(linewidth, epsilon)``.
+    ``sensor_rates`` holds each sensor's ``(linewidth, epsilon)``.  Returns
+    the generator ``L``, the isometry ``V`` of :class:`ModelAssembly`, each
+    column's smallest basis index and ``V^T L V``.  For an exchange-symmetric
+    pair the reduction is checked once here: ``L V = V (V^T L V)`` must hold
+    to round-off, or :class:`SolverError` is raised.
     """
     sensors = [SensorSpec(0.0, linewidth, epsilon) for linewidth, epsilon in sensor_rates]
-    return vectorize(
-        build_hamiltonian(config, sensors), build_collapse_channels(config, sensors)
-    )
+    gen = vectorize(build_hamiltonian(config, sensors), build_collapse_channels(config, sensors))
+    n = gen.csr.shape[0]
+    if not _exchange_symmetric(config):
+        return gen, sp.identity(n, format="csr"), np.arange(n), gen.csr
+    isometry, reps = _exchange_isometry(HilbertLayout(config.atom_count, len(sensors)))
+    reduced = (isometry.T @ gen.csr @ isometry).tocsr()
+    defect = spla.norm(gen.csr @ isometry - isometry @ reduced)
+    if not defect <= _EXCHANGE_DEFECT_TOL * spla.norm(gen.csr):
+        raise SolverError(
+            f"atom exchange leaves a generator defect {defect:.3e}; the "
+            "exchange-even sector is not invariant"
+        )
+    return gen, isometry, reps, reduced
 
 
 def build_assembly(config: EmitterPairConfig, sensors=()) -> ModelAssembly:
@@ -282,40 +341,51 @@ def build_assembly(config: EmitterPairConfig, sensors=()) -> ModelAssembly:
     sensor's linewidth and coupling), so a sweep over frequencies builds it
     once.  Summing ``h`` in sensor order, as :func:`build_hamiltonian` does,
     reproduces the full build entry for entry.
+
+    A pair with two atoms, equal laser phases and equal detection phases
+    (every preset's geometry) is symmetric under exchanging the atoms, and
+    its steady state lies in the exchange-even sector, 160 of the 256
+    dimensions of a two-sensor model.  The assembly then carries that
+    sector's isometry ``V`` and ``V^T L V``, built with the generator; the
+    shift is diagonal on it too, since it never depends on the atoms.
+    Otherwise ``V`` is the identity.  The geometry alone decides.
     """
     sensors = tuple(sensors)
     layout = HilbertLayout(config.atom_count, len(sensors))
-    base = _detuning_free_generator(
+    base, isometry, reps, reduced = _detuning_free_generator(
         config, tuple((s.linewidth, s.epsilon) for s in sensors)
     )
     h = np.zeros(layout.dimension)
     for site, spec in zip(layout.sensor_sites, sensors):
         h = h + spec.omega_s * embed(number_op(), site, layout).diagonal().real
-    shift = sp.diags(1j * np.subtract.outer(h, h).ravel(), format="csr")
-    return ModelAssembly(layout=layout, superoperator=SparseComplexMatrix(base.csr + shift))
+    shift = 1j * np.subtract.outer(h, h).ravel()
+    return ModelAssembly(
+        layout=layout,
+        superoperator=SparseComplexMatrix(base.csr + sp.diags(shift, format="csr")),
+        isometry=isometry,
+        reduced=reduced + sp.diags(shift[reps], format="csr"),
+    )
 
 
-def _trace_constrained_system(gen: sp.csr_matrix):
+def _trace_constrained_system(gen: sp.csr_matrix, trace_row: np.ndarray):
     """Replace the first row of the generator by the trace constraint.
 
     The constrained matrix is spliced from the CSR arrays of ``gen``: the
-    weighted trace row (ones at the positions of ``rho_ii`` in ``vec(rho)``,
-    times the mean diagonal magnitude) in front of rows ``1 ... n - 1``.
-    Returns the matrix in CSC form and the right-hand side.
+    nonzero entries of ``trace_row`` (the covector of ``Tr rho``), times the
+    mean diagonal magnitude, in front of rows ``1 ... n - 1``.  Returns the
+    matrix in CSC form and the right-hand side.
     """
     n = gen.shape[0]
-    dim = math.isqrt(n)
     weight = float(np.mean(np.abs(gen.diagonal())))
     if weight == 0.0:
         weight = 1.0
+    cols = np.flatnonzero(trace_row).astype(gen.indices.dtype)
     start = gen.indptr[1]
     indptr = np.empty(n + 1, dtype=gen.indptr.dtype)
     indptr[0] = 0
-    indptr[1:] = gen.indptr[1:] - start + dim
-    indices = np.concatenate(
-        (np.arange(dim, dtype=gen.indices.dtype) * (dim + 1), gen.indices[start:])
-    )
-    data = np.concatenate((np.full(dim, weight, dtype=np.complex128), gen.data[start:]))
+    indptr[1:] = gen.indptr[1:] - start + cols.size
+    indices = np.concatenate((cols, gen.indices[start:]))
+    data = np.concatenate((weight * trace_row[cols].astype(np.complex128), gen.data[start:]))
     rhs = np.zeros(n, dtype=np.complex128)
     rhs[0] = weight
     return sp.csr_matrix((data, indices, indptr), shape=(n, n)).tocsc(), rhs
@@ -333,19 +403,31 @@ def _condition_estimate(gen_csc, lu):
         return float("nan")
 
 
-def steady_state(superoperator: SparseComplexMatrix) -> DensityMatrix:
+def steady_state(model: ModelAssembly | SparseComplexMatrix) -> DensityMatrix:
     """Unique steady state by trace-constrained sparse LU solve.
 
-    One row of the generator is replaced by the (weighted) trace condition and
-    the system is solved directly, followed by two iterative-refinement steps.
-    The reported residual is ``||L vec(rho)||_2`` against the unmodified
-    generator.  Raises :class:`SolverError` with a condition estimate if the
-    residual exceeds ``_STEADY_RESIDUAL_TOL``.
+    ``model`` is a :class:`ModelAssembly` or a bare superoperator ``L``,
+    which is solved as one with the identity isometry.  The system solved is
+    ``V^T L V x = 0`` with ``Tr(V x) = 1``: one row of ``V^T L V`` is
+    replaced by the (weighted) trace covector ``V^T vec(1)``, and the system
+    is factored by SuperLU and solved directly, followed by two
+    iterative-refinement steps.  For an exchange-symmetric pair's assembly
+    that is the 160-dim exchange-even sector of a two-sensor model (2560 of
+    4096 dims with four sensors).  The solution is lifted back as
+    ``vec(rho) = V x``, and the reported residual is ``||L vec(rho)||_2``
+    against the full, unmodified generator.  Raises :class:`SolverError`
+    with a condition estimate if the residual exceeds
+    ``_STEADY_RESIDUAL_TOL``.
     """
-    gen = superoperator.csr
+    if isinstance(model, ModelAssembly):
+        gen, isometry, reduced = model.superoperator.csr, model.isometry, model.reduced
+    else:
+        gen = reduced = model.csr
+        isometry = sp.identity(gen.shape[0], format="csr")
     if gen.shape[0] != gen.shape[1]:
         raise ValueError("superoperator must be square")
-    mod, rhs = _trace_constrained_system(gen)
+    trace = np.eye(math.isqrt(gen.shape[0])).ravel()  # vec(1)
+    mod, rhs = _trace_constrained_system(reduced, isometry.T @ trace)
     try:
         lu = spla.splu(mod)
     except RuntimeError as exc:
@@ -356,7 +438,7 @@ def steady_state(superoperator: SparseComplexMatrix) -> DensityMatrix:
         if np.max(np.abs(defect)) == 0.0:
             break
         x = x + lu.solve(defect)
-    rho = _unvec(x)
+    rho = _unvec(isometry @ x)
     rho = 0.5 * (rho + rho.conj().T)
     residual = float(np.linalg.norm(gen @ _vec(rho)))
     if not residual <= _STEADY_RESIDUAL_TOL:  # NaN fails too

@@ -237,7 +237,7 @@ def _two_sensor_state(config, omega1, omega2, linewidth, epsilon):
         for w in (omega1, omega2)
     )
     assembly = build_assembly(config, sensors)
-    rho = steady_state(assembly.superoperator)
+    rho = steady_state(assembly)
     layout = assembly.layout
     lowers = [embed(sigma_minus(), site, layout) for site in layout.sensor_sites]
     numbers = [embed(number_op(), site, layout) for site in layout.sensor_sites]

@@ -164,7 +164,7 @@ def test_criterion_07_bell_map(pair, triplet):
 
 def _steady_checks(config, sensors):
     assembly = build_assembly(config, sensors)
-    rho = steady_state(assembly.superoperator)
+    rho = steady_state(assembly)
     assert abs(rho.trace() - 1.0) < 1e-10
     assert rho.hermiticity_defect() < 1e-10
     assert rho.min_eigenvalue() > -1e-8

@@ -66,7 +66,7 @@ def test_decoupled_sensor_stays_empty():
     cfg = ep.EmitterPairConfig(atom_count=1, rabi=2.0)
     sensor = SensorSpec(omega_s=3.0, linewidth=1.0, epsilon=0.0)
     assembly = build_assembly(cfg, (sensor,))
-    rho = steady_state(assembly.superoperator)
+    rho = steady_state(assembly)
     site = assembly.layout.sensor_sites[0]
     pop = expectation(embed(number_op(), site, assembly.layout), rho.data)
     assert abs(pop) < 1e-14
@@ -241,22 +241,67 @@ def test_build_assembly_does_not_repeat_the_coupling_warning():
 def test_spliced_trace_row_matches_stacked_reference():
     for cfg, sensors in (
         (ep.EmitterPairConfig(atom_count=1, rabi=2.0), (SensorSpec(1.0),)),  # 16-dim
-        (ep.EmitterPairConfig(), (SensorSpec(10.0), SensorSpec(-20.0))),  # 256-dim
+        (ep.EmitterPairConfig(), (SensorSpec(10.0), SensorSpec(-20.0))),  # 160 of 256
+        (ep.EmitterPairConfig(laser_direction=(1.0, 0.0, 1.0)),
+         (SensorSpec(10.0), SensorSpec(-20.0))),  # 256-dim
     ):
-        gen = build_assembly(cfg, sensors).superoperator.csr
-        n = gen.shape[0]
-        dim = math.isqrt(n)
+        assembly = build_assembly(cfg, sensors)
+        gen, isometry = assembly.reduced, assembly.isometry
+        trace = isometry.T @ vec_f(np.eye(assembly.layout.dimension)).real
         weight = float(np.mean(np.abs(gen.diagonal())))
-        row = sp.csr_matrix(
-            (np.full(dim, weight, dtype=np.complex128),
-             (np.zeros(dim, int), np.arange(dim) * (dim + 1))),
-            shape=(1, n),
-        )
-        reference = sp.vstack([row, gen[1:]], format="csc")
-        mod, rhs = _trace_constrained_system(gen)
+        reference = sp.vstack([weight * sp.csr_matrix(trace), gen[1:]], format="csc")
+        mod, rhs = _trace_constrained_system(gen, trace)
         assert mod.format == "csc"
         assert_same_csr(mod, reference)
         assert rhs[0] == weight and not np.any(rhs[1:])
+
+
+def test_exchange_isometry_spans_the_swap_even_sector():
+    isometry = build_assembly(ep.EmitterPairConfig(), (SensorSpec(1.0),) * 2).isometry
+    assert isometry.shape == (256, 160)
+    np.testing.assert_allclose((isometry.T @ isometry).toarray(), np.eye(160), atol=1e-15)
+    swap = np.zeros((16, 16))
+    for a0, a1, rest in np.ndindex(2, 2, 4):
+        swap[(a1 * 2 + a0) * 4 + rest, (a0 * 2 + a1) * 4 + rest] = 1.0
+    liouville_swap = np.kron(swap, swap)  # vec(P rho P), P real and symmetric
+    projector = (isometry @ isometry.T).toarray()
+    np.testing.assert_allclose(projector, 0.5 * (np.eye(256) + liouville_swap), atol=1e-15)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([
+        ep.EmitterPairConfig(),
+        ep.EmitterPairConfig(force_independent=True),
+        ep.EmitterPairConfig(kr12=0.006, rabi=250.0),  # fig2c
+    ]),
+    st.lists(st.floats(-600.0, 600.0), min_size=2, max_size=2),
+    st.lists(st.floats(0.1, 10.0), min_size=2, max_size=2),
+)
+def test_exchange_even_solve_matches_the_full_solve(cfg, omegas, linewidths):
+    # the same steady state from the 160-dim sector and from all 256 dims;
+    # observed worst entry-wise difference over 150 random draws each:
+    # 1.4e-13 (default pair), 1.7e-16 (independent), 9.2e-12 (fig2c, whose
+    # trace-constrained system has a condition number of about 3e8)
+    sensors = tuple(SensorSpec(w, lw) for w, lw in zip(omegas, linewidths))
+    assembly = build_assembly(cfg, sensors)
+    assert assembly.reduced.shape == (160, 160)
+    reduced = steady_state(assembly)
+    full = steady_state(assembly.superoperator)
+    assert reduced.residual <= 1e-8
+    np.testing.assert_allclose(reduced.data, full.data, rtol=0.0, atol=1e-10)
+
+
+def test_steady_state_factors_the_exchange_even_sector(monkeypatch):
+    # guards the reduction: a symmetric pair's two-sensor solve factors 160
+    # dims, an asymmetric one (drive along the pair axis) all 256
+    shapes = []
+    splu = liouville.spla.splu
+    monkeypatch.setattr(liouville.spla, "splu", lambda a: shapes.append(a.shape) or splu(a))
+    sensors = (SensorSpec(10.0), SensorSpec(-20.0))
+    for cfg in (ep.EmitterPairConfig(), ep.EmitterPairConfig(laser_direction=(1.0, 0.0, 1.0))):
+        steady_state(build_assembly(cfg, sensors))
+    assert shapes == [(160, 160), (256, 256)]
 
 
 def test_undriven_atom_decay_spectrum():
@@ -302,7 +347,7 @@ def test_hermiticity_preserved_under_evolution(pair_config):
 def test_undriven_atom_relaxes_to_ground():
     cfg = ep.EmitterPairConfig(atom_count=1, rabi=0.0)
     assembly = build_assembly(cfg, ())
-    rho = steady_state(assembly.superoperator)
+    rho = steady_state(assembly)
     np.testing.assert_allclose(rho.data, np.diag([1.0, 0.0]), atol=1e-12)
 
 
@@ -310,7 +355,7 @@ def test_driven_atom_matches_bloch_formula():
     for rabi in (0.3, 3.0, 30.0):
         cfg = ep.EmitterPairConfig(atom_count=1, rabi=rabi)
         assembly = build_assembly(cfg, ())
-        rho = steady_state(assembly.superoperator)
+        rho = steady_state(assembly)
         oracle = rabi**2 / (1.0 + 2.0 * rabi**2)
         assert rho.data[1, 1].real == pytest.approx(oracle, abs=1e-12)
         assert rho.residual < 1e-12
@@ -318,7 +363,7 @@ def test_driven_atom_matches_bloch_formula():
 
 def test_steady_state_invariants(pair_config):
     assembly = build_assembly(pair_config, (SensorSpec(10.0, 1.0, 1e-4),))
-    rho = steady_state(assembly.superoperator)
+    rho = steady_state(assembly)
     assert rho.trace() == pytest.approx(1.0, abs=1e-10)
     assert rho.hermiticity_defect() < 1e-10
     assert rho.min_eigenvalue() > -1e-8
@@ -345,7 +390,7 @@ def test_sensor_population_scales_as_epsilon_squared(pair_config):
     pops = {}
     for eps in (1e-4, 5e-5):
         assembly = build_assembly(pair_config, (SensorSpec(0.0, 1.0, eps),))
-        rho = steady_state(assembly.superoperator)
+        rho = steady_state(assembly)
         site = assembly.layout.sensor_sites[0]
         pops[eps] = float(
             np.real(expectation(embed(number_op(), site, assembly.layout), rho.data))
@@ -360,7 +405,7 @@ def test_sensor_population_matches_filtered_correlation_integral(pair_config):
     # field correlation filtered by its response, 2 eps^2/G Re int G1 exp((i w - G/2) tau)
     omega_s, linewidth, eps = 25.0, 1.0, 1e-4
     assembly = build_assembly(pair_config, ())
-    rho = steady_state(assembly.superoperator)
+    rho = steady_state(assembly)
     emission = emission_operator(pair_config, assembly.layout)
     taus = np.linspace(0.0, 80.0, 32001)
     corr = np.asarray(
@@ -386,14 +431,14 @@ def test_sensor_population_matches_filtered_correlation_integral(pair_config):
 
 def test_evolve_at_zero_returns_initial_state(pair_config):
     assembly = build_assembly(pair_config, ())
-    rho = steady_state(assembly.superoperator)
+    rho = steady_state(assembly)
     out = ep.evolve(assembly.superoperator, rho, [0.0])
     np.testing.assert_allclose(out[0].data, rho.data, atol=1e-14)
 
 
 def test_steady_state_is_fixed_point(pair_config):
     assembly = build_assembly(pair_config, ())
-    rho = steady_state(assembly.superoperator)
+    rho = steady_state(assembly)
     out = ep.evolve(assembly.superoperator, rho, [0.0, 1.0, 5.0, 25.0])
     for state in out:
         np.testing.assert_allclose(state.data, rho.data, atol=1e-9)
@@ -431,7 +476,7 @@ def test_eigenbasis_and_fallback_match_expm():
         (ep.EmitterPairConfig(atom_count=1, rabi=0.25 + 1e-6), (), True, 5e-13),
     ):
         assembly = build_assembly(cfg, sensors)
-        rho = steady_state(assembly.superoperator)
+        rho = steady_state(assembly)
         emission = emission_operator(cfg, assembly.layout)
         seed = vec_f(emission @ np.asarray(rho.data) @ emission.conj().T)
         prop = Propagator(assembly.superoperator)
@@ -447,7 +492,7 @@ def test_propagator_rejects_negative_taus_and_keeps_grid_order():
     for cfg in (ep.EmitterPairConfig(), ep.EmitterPairConfig(atom_count=1, rabi=0.25)):
         assembly = build_assembly(cfg, ())
         prop = Propagator(assembly.superoperator)
-        rho = steady_state(assembly.superoperator)
+        rho = steady_state(assembly)
         emission = emission_operator(cfg, assembly.layout)
         seed = vec_f(emission @ np.asarray(rho.data) @ emission.conj().T)
         with pytest.raises(ValueError):
@@ -483,7 +528,7 @@ def test_fallback_above_the_dense_limit_keeps_the_state_physical():
 
 def test_correlator_at_zero_delay_is_plain_expectation(pair_config):
     assembly = build_assembly(pair_config, ())
-    rho = steady_state(assembly.superoperator)
+    rho = steady_state(assembly)
     emission = emission_operator(pair_config, assembly.layout)
     raising = emission.conj().T
     value = two_time_correlator(
@@ -496,7 +541,7 @@ def test_correlator_at_zero_delay_is_plain_expectation(pair_config):
 def test_correlator_factorizes_at_long_delay():
     cfg = ep.EmitterPairConfig(atom_count=1, rabi=2.0)
     assembly = build_assembly(cfg, ())
-    rho = steady_state(assembly.superoperator)
+    rho = steady_state(assembly)
     emission = emission_operator(cfg, assembly.layout)
     raising = emission.conj().T
     value = two_time_correlator(
@@ -509,7 +554,7 @@ def test_correlator_factorizes_at_long_delay():
 def test_correlator_supports_operator_products(pair_config):
     # seed C rho A with two-operator lists reproduces manual composition
     assembly = build_assembly(pair_config, ())
-    rho = steady_state(assembly.superoperator)
+    rho = steady_state(assembly)
     emission = emission_operator(pair_config, assembly.layout)
     raising = emission.conj().T
     intensity_op = raising @ emission
@@ -570,15 +615,18 @@ def test_sensor_block_population_is_the_closed_form_sensor_spectrum(pair_config)
     st.floats(-70.0, 70.0),
     st.floats(0.1, 5.0),
     st.booleans(),
+    st.sampled_from([(0.0, 0.0, 1.0), (1.0, 0.0, 1.0)]),
 )
-def test_two_sensor_blocks_match_the_sensor_engine(omega1, omega2, linewidth, same):
+def test_two_sensor_blocks_match_the_sensor_engine(omega1, omega2, linewidth, same, laser):
     # <n1 n2> / (<n1><n2>) at leading order against sensor_g2, Richardson
     # extrapolated to epsilon -> 0 from 1e-3 and 2e-3, which removes the
     # epsilon^2 bias and keeps round-off small.  Observed worst: 3.4e-8 at
     # (0, 0, linewidth 0.1), below 2.5e-10 elsewhere on 300 random draws.
+    # A drive along the pair axis breaks the exchange symmetry, so its
+    # sensor model is solved in all 256 dims.
     if same:
         omega2 = omega1
-    cfg = ep.EmitterPairConfig(kr12=0.05, rabi=30.0)
+    cfg = ep.EmitterPairConfig(kr12=0.05, rabi=30.0, laser_direction=laser)
     blocks = SensorBlocks(cfg, [SensorSpec(omega1, linewidth), SensorSpec(omega2, linewidth)])
     g2 = (blocks.moment(3, 3) / (blocks.moment(1, 1) * blocks.moment(2, 2))).real
     oracle = (

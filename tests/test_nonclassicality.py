@@ -181,7 +181,7 @@ def _bell_terms_of_the_sensor_model(config, omega1, omega2, linewidth, epsilon):
     with sensors (a1, a2) at ``omega1`` and (b1, b2) at ``omega2``."""
     sensors = tuple(SensorSpec(w, linewidth, epsilon) for w in (omega1, omega1, omega2, omega2))
     assembly = build_assembly(config, sensors)
-    rho = steady_state(assembly.superoperator).data
+    rho = steady_state(assembly).data
     layout = assembly.layout
     a1, a2, b1, b2 = (embed(sigma_minus(), site, layout) for site in layout.sensor_sites)
 

@@ -45,7 +45,7 @@ def test_field_operator_perpendicular_detection_has_equal_phases():
 
 def test_driven_pair_radiates(pair_config):
     assembly = build_assembly(pair_config, ())
-    rho = steady_state(assembly.superoperator)
+    rho = steady_state(assembly)
     em = emission_operator(pair_config, assembly.layout)
     intensity = expectation(em.conj().T @ em, rho.data).real
     assert intensity > 0.0
@@ -213,7 +213,7 @@ def test_sensor_scan_matches_full_sensor_solve(pair_triplet):
     for omega in grid:
         spec = SensorSpec(omega_s=float(omega), linewidth=1.0, epsilon=epsilon)
         assembly = build_assembly(cfg, (spec,))
-        rho = steady_state(assembly.superoperator)
+        rho = steady_state(assembly)
         site = assembly.layout.sensor_sites[0]
         pop = expectation(embed(number_op(), site, assembly.layout), rho.data)
         oracle.append(pop.real / epsilon**2)
@@ -224,7 +224,7 @@ def test_fourier_matches_correlator_quadrature(single_config):
     omegas = np.array([-30.0, -12.0, 0.0, 5.0, 30.0])
     spec = ep.spectrum_fourier(single_config, omega_grid=omegas, normalize=False)
     assembly = build_assembly(single_config, ())
-    rho = steady_state(assembly.superoperator)
+    rho = steady_state(assembly)
     em = emission_operator(single_config, assembly.layout)
     intensity = expectation(em.conj().T @ em, rho.data).real
     # every mode has decayed below 1e-8 by tau = 40

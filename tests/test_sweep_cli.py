@@ -377,6 +377,26 @@ def test_cli_validate_refuses_an_emitter_the_solver_cannot_certify(capsys):
     assert "config error: emitter: steady-state residual" in capsys.readouterr().err
 
 
+def test_cli_validate_near_contact_pair_is_not_a_traceback(capsys):
+    # gamma12 rounds to 1 + 2e-16 here; clamped, the model builds and only
+    # the atomic steady state fails its check
+    argv = ["validate", "fig1b", "--set", "emitter.kr12=1e-12",
+            "--set", "emitter.cos_theta12=-0.55"]
+    assert main(argv) == EXIT_CONFIG
+    assert "config error: emitter: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("make", [
+    lambda path: path.mkdir(),
+    lambda path: path.write_bytes(b"\xff\xfe[emitter]\n"),  # not UTF-8
+], ids=["directory", "not-utf8"])
+def test_cli_unreadable_config_is_config_error(make, tmp_path, capsys):
+    path = tmp_path / "config.cfg"
+    make(path)
+    assert main(["validate", str(path)]) == EXIT_CONFIG
+    assert f"config error: cannot read config {path}: " in capsys.readouterr().err
+
+
 def test_cli_bad_override_is_config_error(capsys):
     assert main(["validate", "fig1b", "--set", "emitter.kr12=-2"]) == EXIT_CONFIG
     assert "emitter.kr12" in capsys.readouterr().err
