@@ -9,7 +9,7 @@ engine (:mod:`emitpair.liouville`), physical observables
 (:mod:`emitpair.config`, :mod:`emitpair.sweep`, :mod:`emitpair.cli`).
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .dipole import (
     CollectiveModes,

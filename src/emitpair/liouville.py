@@ -7,6 +7,8 @@ excitation exchange, collective decay channels obtained by diagonalising the
 ``1 +- gamma12``), and one decay channel per sensor.  :func:`atomic_model`
 caches the atoms-only model of one emitter, on which :class:`SensorBlocks`
 takes the limit of vanishing sensor coupling with linear solves instead.
+:class:`Propagator` applies ``exp(L tau)`` by exact matrix exponentials, one
+per distinct step between sorted delays.
 
 Vectorisation is column-stacking throughout: ``vec(rho)`` concatenates the
 columns of ``rho`` (Fortran order), so ``vec(A rho B) = (B^T kron A) vec(rho)``
@@ -32,8 +34,7 @@ from functools import cached_property, lru_cache, reduce
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import lu_factor, lu_solve, schur as complex_schur
-from scipy.linalg.lapack import zgecon
+from scipy.linalg import expm, schur as complex_schur
 
 from .dipole import EmitterPairConfig, effective_coefficients
 from .operators import (
@@ -65,18 +66,11 @@ __all__ = [
     "Propagator",
     "two_time_correlator",
     "DENSE_PROPAGATION_LIMIT",
-    "EIGENBASIS_CONDITION_LIMIT",
 ]
 
-# Superoperator dimension up to which propagation uses a dense
-# eigendecomposition; beyond it, the sparse matrix-exponential action.
+# Superoperator dimension up to which a propagation step is a dense matrix
+# exponential; beyond it, the sparse matrix-exponential action.
 DENSE_PROPAGATION_LIMIT = 1024
-
-# Largest eigenvector condition number cond1(V) at which propagation keeps
-# the eigenbasis.  Within 1e-9 of the single-atom Mollow exceptional point
-# (rabi = 1/4) cond1(V) exceeds 5e4 and the mode expansion loses 1e-12 or
-# more against the exact exponential; every shipped generator reads below 200.
-EIGENBASIS_CONDITION_LIMIT = 1e4
 
 
 class SolverError(RuntimeError):
@@ -586,57 +580,47 @@ class SensorBlocks:
 class Propagator:
     """Applies ``exp(L tau)`` to vectorised operators.
 
-    Up to ``DENSE_PROPAGATION_LIMIT`` the generator is diagonalised once,
-    ``L = V diag(w) V^-1``, and each delay is a mode expansion.  Its error
-    grows with the condition number of ``V``, which diverges where
-    eigenvectors coalesce (an exceptional point), so the eigenbasis is kept
-    only while the LAPACK estimate of ``cond1(V)`` from its LU factors stays
-    at most ``EIGENBASIS_CONDITION_LIMIT``.  A larger generator, or a worse
-    conditioned one, steps through the sorted delays, each by one sparse
-    matrix-exponential action from the last (Al-Mohy and Higham, SIAM J. Sci.
-    Comput. 33, 488 (2011)), accurate to rounding.  Zero delay returns the
-    input exactly on both routes.
+    Steps through the sorted delays, each by ``exp(L delta)`` from the last.
+    Up to ``DENSE_PROPAGATION_LIMIT`` a step is a dense ``expm`` (scaling and
+    squaring; Al-Mohy and Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009)),
+    computed once per distinct step within a call, so a uniform grid costs a
+    few ``expm`` and an irregular one up to one per delay.  A larger
+    generator steps by the sparse matrix-exponential action (Al-Mohy and
+    Higham, SIAM J. Sci. Comput. 33, 488 (2011)).  Both are exact to rounding
+    at any conditioning of the eigenvectors of ``L``, an exceptional point
+    included.  Zero delay returns the input exactly.
     """
 
     def __init__(self, superoperator: SparseComplexMatrix):
         self._gen = superoperator.csr
         self._dense = self._gen.shape[0] <= DENSE_PROPAGATION_LIMIT
         if self._dense:
-            w, v = np.linalg.eig(self._gen.toarray())
-            lu_piv = lu_factor(v)
-            rcond, _ = zgecon(lu_piv[0], np.max(np.sum(np.abs(v), axis=0)), norm="1")
-            if rcond >= 1.0 / EIGENBASIS_CONDITION_LIMIT:  # False for NaN too
-                self._w, self._v, self._lu_piv = w, v, lu_piv
-            else:
-                self._dense = False
+            self._gen = self._gen.toarray()
 
     def propagate_vec(self, vec0, taus):
         """Return ``exp(L tau) vec0`` for each nonnegative tau, one row per tau."""
         taus = np.asarray(taus, dtype=float)
+        if not np.all(np.isfinite(taus)):
+            raise ValueError("tau grid must be finite")
         if np.any(taus < 0.0):
             raise ValueError("tau grid must be nonnegative")
         vec0 = np.asarray(vec0, dtype=np.complex128)
-        if self._dense:
-            coeff = lu_solve(self._lu_piv, vec0)
-            phases = np.exp(np.outer(self._w, taus))
-            out = (self._v @ (phases * coeff[:, None])).T
-        else:
-            # step through the sorted delays; an equal delay reuses its row
-            out = np.empty((taus.size, vec0.size), dtype=np.complex128)
-            vec, prev = vec0, 0.0
-            for i in np.argsort(taus, kind="stable"):
-                if taus[i] != prev:
-                    vec = spla.expm_multiply(self._gen * (taus[i] - prev), vec)
-                    prev = taus[i]
-                out[i] = vec
-        out[taus == 0.0] = vec0  # exact at zero delay
+        out = np.empty((taus.size, vec0.size), dtype=np.complex128)
+        steps = {}  # delta -> dense exp(L delta), for this call only
+        vec, prev = vec0, 0.0
+        for i in np.argsort(taus, kind="stable"):  # an equal delay reuses its row
+            if taus[i] != prev:
+                delta = taus[i] - prev
+                if self._dense:
+                    step = steps.get(delta)
+                    if step is None:
+                        step = steps[delta] = expm(self._gen * delta)
+                    vec = step @ vec
+                else:
+                    vec = spla.expm_multiply(self._gen * delta, vec)
+                prev = taus[i]
+            out[i] = vec
         return out
-
-    def correlate(self, seed, op, taus):
-        """``Tr[op exp(L tau)(seed)]`` for each tau; ``seed`` and ``op`` dense."""
-        mats = self.propagate_vec(_vec(seed), taus)
-        # Tr[B X] = vec_C(B) . vec_F(X), one product for every delay
-        return mats @ np.ravel(op)
 
 
 def evolve(superoperator: SparseComplexMatrix, rho0: DensityMatrix, tau_grid):
@@ -658,10 +642,12 @@ def two_time_correlator(
 
     ``A`` is the ordered product of the dense ``left_ops``, ``C`` of
     ``right_ops`` and ``B = mid_op``; the quantum regression theorem gives
-    ``Tr[B exp(L tau)(C rho_ss A)]`` (:meth:`Propagator.correlate`).
+    ``Tr[B exp(L tau)(C rho_ss A)]``.
     """
     ident = np.eye(rho_ss.dimension)
     a_op = reduce(np.matmul, left_ops, ident)
     c_op = reduce(np.matmul, right_ops, ident)
     seed = c_op @ rho_ss.data @ a_op
-    return Propagator(superoperator).correlate(seed, mid_op, tau_grid).tolist()
+    mats = Propagator(superoperator).propagate_vec(_vec(seed), tau_grid)
+    # Tr[B X] = vec_C(B) . vec_F(X), one product for every delay
+    return (mats @ np.ravel(mid_op)).tolist()

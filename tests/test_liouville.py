@@ -2,11 +2,12 @@
 
 import math
 import warnings
+from functools import cache
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -454,33 +455,31 @@ def test_excited_atom_decays_exponentially():
     np.testing.assert_allclose(pops, np.exp(-taus), atol=1e-10)
 
 
-def test_eigenbasis_and_fallback_match_expm():
-    # the pair and the fig2c two-sensor model propagate through their
-    # eigenbases; a single atom at rabi = 1/4 sits on the Mollow exceptional
-    # point, and near it the eigenvectors are so ill-conditioned that the
-    # sparse matrix-exponential action takes over.  Every route must match
-    # the dense matrix exponential.
+def test_propagation_matches_dense_expm():
+    # the pair, the fig2c two-sensor model, and a single atom on and near the
+    # Mollow exceptional point rabi = 1/4, where the eigenvectors coalesce:
+    # stepping through the sorted delays must match the matrix exponential
+    # of each delay on every one of them
     fig2c = ep.EmitterPairConfig(kr12=0.006, rabi=250.0)
     _, d13, d23 = ep.dressed_triplet(fig2c, ep.dipole_coefficients(fig2c)).sideband_deltas
     fig2c_sensors = (SensorSpec(d13, 5.0), SensorSpec(-d23, 5.0))
     taus = np.linspace(0.0, 10.0, 21)
-    for cfg, sensors, eigenbasis, tol in (
-        (ep.EmitterPairConfig(kr12=0.05, rabi=30.0), (), True, 5e-13),
+    for cfg, sensors, tol in (
+        (ep.EmitterPairConfig(kr12=0.05, rabi=30.0), (), 5e-13),
         # |L| tau reaches ~1e4 here: rounding alone is ~1e-12 (expm and
         # expm_multiply differ by 7.5e-13 on this grid)
-        (fig2c, fig2c_sensors, True, 5e-12),
-        (ep.EmitterPairConfig(atom_count=1, rabi=0.25), (), False, 1e-13),
-        (ep.EmitterPairConfig(atom_count=1, rabi=0.25 + 1e-15), (), False, 1e-13),
-        (ep.EmitterPairConfig(atom_count=1, rabi=0.25 + 1e-12), (), False, 1e-13),
-        (ep.EmitterPairConfig(atom_count=1, rabi=0.25 + 1e-9), (), False, 1e-13),
-        (ep.EmitterPairConfig(atom_count=1, rabi=0.25 + 1e-6), (), True, 5e-13),
+        (fig2c, fig2c_sensors, 5e-12),
+        (ep.EmitterPairConfig(atom_count=1, rabi=0.25), (), 1e-13),
+        (ep.EmitterPairConfig(atom_count=1, rabi=0.25 + 1e-15), (), 1e-13),
+        (ep.EmitterPairConfig(atom_count=1, rabi=0.25 + 1e-12), (), 1e-13),
+        (ep.EmitterPairConfig(atom_count=1, rabi=0.25 + 1e-9), (), 1e-13),
+        (ep.EmitterPairConfig(atom_count=1, rabi=0.25 + 1e-6), (), 5e-13),
     ):
         assembly = build_assembly(cfg, sensors)
         rho = steady_state(assembly)
         emission = emission_operator(cfg, assembly.layout)
         seed = vec_f(emission @ np.asarray(rho.data) @ emission.conj().T)
         prop = Propagator(assembly.superoperator)
-        assert prop._dense == eigenbasis
         gen = assembly.superoperator.to_dense()
         exact = np.array([expm(gen * tau) @ seed for tau in taus])
         out = prop.propagate_vec(seed, taus)
@@ -488,15 +487,16 @@ def test_eigenbasis_and_fallback_match_expm():
 
 
 def test_propagator_rejects_negative_taus_and_keeps_grid_order():
-    # both routes: the pair's eigenbasis and the exceptional-point fallback
+    # the pair, and a single atom on the Mollow exceptional point
     for cfg in (ep.EmitterPairConfig(), ep.EmitterPairConfig(atom_count=1, rabi=0.25)):
         assembly = build_assembly(cfg, ())
         prop = Propagator(assembly.superoperator)
         rho = steady_state(assembly)
         emission = emission_operator(cfg, assembly.layout)
         seed = vec_f(emission @ np.asarray(rho.data) @ emission.conj().T)
-        with pytest.raises(ValueError):
-            prop.propagate_vec(seed, [-1.0, 0.5])
+        for bad in ([-1.0, 0.5], [0.0, np.nan, 1.0], [np.inf], [0.5, -np.inf]):
+            with pytest.raises(ValueError):
+                prop.propagate_vec(seed, bad)
         taus = np.array([2.0, 0.0, 0.5, 3.0, 1.0, 0.5])
         order = np.argsort(taus)
         unsorted = prop.propagate_vec(seed, taus)
@@ -634,6 +634,101 @@ def test_two_sensor_blocks_match_the_sensor_engine(omega1, omega2, linewidth, sa
         - ep.sensor_g2(cfg, omega1, omega2, linewidth, epsilon=2e-3).g2
     ) / 3.0
     assert g2 == pytest.approx(oracle, rel=1e-6)
+
+
+def _submasks(mask):
+    sub = mask
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & mask
+
+
+def _rounding_scale(blocks, emission, count):
+    """A running-error scale for each ``blocks.moment(a, b)``.
+
+    A block solve is well conditioned, but its source can cancel: the emission
+    terms of a far-detuned sensor population nearly balance, so the block is
+    much smaller than the terms that build it, and each level multiplies the
+    relative round-off of its inputs by that cancellation.  The scale is
+    ``||rho_ab||_F * gain(a, b)``, with ``gain(0, 0) = 1`` and
+    ``gain = sum_t ||t|| (1 + gain(child_t)) / ||sum_t t||`` over the source
+    terms ``t`` of the block, so round-off reads about ``u * scale``.
+    """
+
+    @cache
+    def gain(a, b):
+        if a == b == 0:
+            return 1.0
+        terms = [
+            (-1j * emission @ blocks.block(a ^ bit, b), gain(a ^ bit, b))
+            for bit in (1 << s for s in range(count)) if a & bit
+        ] + [
+            (1j * blocks.block(a, b ^ bit) @ emission.conj().T, gain(a, b ^ bit))
+            for bit in (1 << s for s in range(count)) if b & bit
+        ]
+        source = np.linalg.norm(sum(t for t, _ in terms))
+        return sum(np.linalg.norm(t) * (1.0 + g) for t, g in terms) / source
+
+    return lambda a, b: np.linalg.norm(blocks.block(a, b)) * gain(a, b)
+
+
+# a direction with a component along the pair axis, so both phases are nonzero
+_direction = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: abs(v[0]) >= 0.1)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.floats(0.1, 6.0),
+    st.floats(0.5, 40.0),
+    _direction,
+    _direction,
+    st.lists(st.tuples(st.floats(-40.0, 40.0), st.floats(0.5, 5.0)), min_size=2, max_size=4),
+)
+@example(1.0, 0.5, (1.0, 0.0, 0.0), (1.0, 0.0, 0.0), [(0.0, 1.0), (33.0, 1.0), (-5.0, 1.0), (-38.0, 1.0)])
+def test_independent_emitters_factorise_over_sensor_subsets(kr12, rabi, laser, detection, specs):
+    # physics oracle: uncoupled atoms stay in a product state, and each sensor
+    # field is the sum of the two atoms' filtered fields, so every moment
+    # splits over subsets, M(a, b) = sum_{S in a, T in b} m_0(S, T) m_1(a-S, b-T),
+    # with m_j a single atom's moment times exp(-i (phi_j - psi_j)(|S| - |T|))
+    # (detection phase phi_j, laser phase psi_j).  The error is measured
+    # against the running-error scale of both sides (_rounding_scale): under
+    # a weak drive, far-detuned sensor populations cancel by ~60 per level,
+    # and against the block norm ||rho_ab||_F alone round-off reached 6.2e-11
+    # on 1200 draws (1.6e-12 at the example below); solving the pair with its
+    # sensors permuted moves M by 4.7e-12 of that norm at rabi 0.5 with three
+    # sensors at 33, so this is the pair's own round-off.  Observed worst
+    # against the scale: 4.2e-15 on 1200 draws.  phi_j + psi_j in place of
+    # phi_j - psi_j fails by at least 4.5e-4 of the scale on each of 60
+    # random geometries.
+    sensors = [SensorSpec(w, lw) for w, lw in specs]
+    cfg = ep.EmitterPairConfig(
+        kr12=kr12, rabi=rabi, laser_direction=laser, detection_direction=detection,
+        force_independent=True,
+    )
+    atom_cfg = ep.EmitterPairConfig(atom_count=1, rabi=rabi)
+    pair = SensorBlocks(cfg, sensors)
+    atom = SensorBlocks(atom_cfg, sensors)
+    pair_scale = _rounding_scale(pair, atomic_model(cfg).emission, len(sensors))
+    atom_scale = _rounding_scale(atom, atomic_model(atom_cfg).emission, len(sensors))
+    phases = np.subtract(cfg.detection_phases(), cfg.laser_phases())
+
+    def single(j, a, b):
+        return atom.moment(a, b) * np.exp(-1j * phases[j] * (a.bit_count() - b.bit_count()))
+
+    def size(a, b):
+        return np.linalg.norm(atom.block(a, b))
+
+    for a in range(1 << len(sensors)):
+        for b in range(1 << len(sensors)):
+            pairs = [(s, t, a ^ s, b ^ t) for s in _submasks(a) for t in _submasks(b)]
+            split = sum(single(0, s, t) * single(1, u, v) for s, t, u, v in pairs)
+            scale = pair_scale(a, b) + sum(
+                atom_scale(s, t) * size(u, v) + size(s, t) * atom_scale(u, v)
+                for s, t, u, v in pairs
+            )
+            assert abs(pair.moment(a, b) - split) <= 1e-13 * scale
 
 
 def test_sensor_blocks_are_adjoint_pairs_and_memoised(pair_config):
