@@ -12,11 +12,9 @@ engine (:mod:`emitpair.liouville`), physical observables
 __version__ = "0.4.0"
 
 from .dipole import (
-    CollectiveModes,
     DipoleCoefficients,
     DressedTriplet,
     EmitterPairConfig,
-    collective_modes,
     dipole_coefficients,
     dressed_triplet,
     effective_coefficients,
@@ -30,7 +28,6 @@ from .liouville import (
     build_assembly,
     build_collapse_channels,
     build_hamiltonian,
-    evolve,
     steady_state,
     two_time_correlator,
     vectorize,
@@ -65,11 +62,9 @@ from .operators import (
 
 __all__ = [
     "__version__",
-    "CollectiveModes",
     "DipoleCoefficients",
     "DressedTriplet",
     "EmitterPairConfig",
-    "collective_modes",
     "dipole_coefficients",
     "dressed_triplet",
     "effective_coefficients",
@@ -81,7 +76,6 @@ __all__ = [
     "build_assembly",
     "build_collapse_channels",
     "build_hamiltonian",
-    "evolve",
     "steady_state",
     "two_time_correlator",
     "vectorize",

@@ -7,10 +7,10 @@
     emitpair validate <config-or-preset>
 
 ``--out``, ``--format`` and ``--workers`` set ``output.path``,
-``output.format`` and ``run.workers`` and win over ``--set``.  ``validate``
-also builds the emitter's atomic model, so an emitter the model builders
-reject, or whose steady state the solver cannot certify, is a configuration
-error.
+``output.format`` and ``run.workers`` and win over ``--set``.  ``run`` and
+``validate`` both build the emitter's atomic model first, so an emitter the
+model builders reject, or whose steady state the solver cannot certify, is a
+configuration error.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime error, 3 success with
 flagged points present in the output.
@@ -128,12 +128,13 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    try:
+        atomic_model(cfg.emitter)
+    except (SolverError, ValueError) as exc:
+        print(f"config error: emitter: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+
     if args.command == "validate":
-        try:
-            atomic_model(cfg.emitter)
-        except (SolverError, ValueError) as exc:
-            print(f"config error: emitter: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
         for key, value in cfg.echo.items():
             print(f"{key} = {value}")
         return EXIT_OK

@@ -24,11 +24,9 @@ import numpy as np
 __all__ = [
     "EmitterPairConfig",
     "DipoleCoefficients",
-    "CollectiveModes",
     "DressedTriplet",
     "dipole_coefficients",
     "effective_coefficients",
-    "collective_modes",
     "dressed_triplet",
     "sideband_frequencies",
 ]
@@ -121,39 +119,29 @@ class DipoleCoefficients:
 
 
 @dataclass(frozen=True)
-class CollectiveModes:
-    """Linewidths and shifts of the symmetric/antisymmetric one-excitation modes."""
-
-    gamma_s: float
-    gamma_a: float
-    delta_s: float
-    delta_a: float
-
-
-@dataclass(frozen=True)
 class DressedTriplet:
     """Dressed-state ladder of one excitation manifold under strong drive.
 
     ``energies`` are sorted descending (laser frame, decay-rate units); the
-    middle level is pinned to zero at resonance.  ``sideband_deltas`` holds the
-    pairwise gaps (d12, d13, d23), all positive with this sorting.
+    middle level is pinned to zero at resonance.  The gaps ``d12``, ``d23``
+    and ``d13`` are their pairwise differences, all positive with this
+    sorting.
     """
 
     energies: tuple
     coefficients: tuple
-    sideband_deltas: tuple
 
     @property
     def d12(self):
-        return self.sideband_deltas[0]
-
-    @property
-    def d13(self):
-        return self.sideband_deltas[1]
+        return self.energies[0] - self.energies[1]
 
     @property
     def d23(self):
-        return self.sideband_deltas[2]
+        return self.energies[1] - self.energies[2]
+
+    @property
+    def d13(self):
+        return self.energies[0] - self.energies[2]
 
     @property
     def spectrum_window(self):
@@ -170,8 +158,6 @@ def dipole_coefficients(config: EmitterPairConfig) -> DipoleCoefficients:
     ``delta12 = -cos(kr12)/(2 kr12)``.
     """
     x = config.kr12
-    if x <= 0.0:
-        raise ValueError("kr12 must be positive (contact singularity at 0)")
     c2 = config.cos_theta12**2
     transverse = 1.0 - c2
     axial = 1.0 - 3.0 * c2
@@ -205,16 +191,6 @@ def effective_coefficients(config: EmitterPairConfig) -> DipoleCoefficients:
     if config.atom_count == 1 or config.force_independent:
         return DipoleCoefficients(delta12=0.0, gamma12=0.0)
     return dipole_coefficients(config)
-
-
-def collective_modes(coeffs: DipoleCoefficients) -> CollectiveModes:
-    """Symmetric/antisymmetric mode parameters, exact identities."""
-    return CollectiveModes(
-        gamma_s=1.0 + coeffs.gamma12,
-        gamma_a=1.0 - coeffs.gamma12,
-        delta_s=coeffs.delta12,
-        delta_a=-coeffs.delta12,
-    )
 
 
 def dressed_triplet(
@@ -254,15 +230,10 @@ def dressed_triplet(
         cos_phi, sin_phi = -cos_phi, -sin_phi
     a1 = cos_phi / math.sqrt(2.0)
     a2 = sin_phi / math.sqrt(2.0)
-    d12 = energies[0] - energies[1]
-    d23 = energies[1] - energies[2]
-    d13 = energies[0] - energies[2]
-    return DressedTriplet(
-        energies=energies, coefficients=(a1, a2), sideband_deltas=(d12, d13, d23)
-    )
+    return DressedTriplet(energies=energies, coefficients=(a1, a2))
 
 
 def sideband_frequencies(triplet: DressedTriplet):
     """The seven emission-line frequencies {0, +-d12, +-d23, +-d13}, ascending."""
-    d12, d13, d23 = triplet.sideband_deltas
-    return sorted([0.0, d12, -d12, d23, -d23, d13, -d13])
+    gaps = (triplet.d12, triplet.d23, triplet.d13)
+    return sorted([0.0, *gaps, *(-gap for gap in gaps)])

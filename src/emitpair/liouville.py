@@ -29,7 +29,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -62,7 +62,6 @@ __all__ = [
     "AtomicModel",
     "atomic_model",
     "SensorBlocks",
-    "evolve",
     "Propagator",
     "two_time_correlator",
     "DENSE_PROPAGATION_LIMIT",
@@ -86,6 +85,8 @@ class SensorSpec:
     epsilon: float = 1e-4
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.omega_s, self.linewidth, self.epsilon))):
+            raise ValueError("sensor frequency, linewidth and coupling must be finite")
         if self.linewidth <= 0.0:
             raise ValueError("sensor linewidth must be positive")
         if self.epsilon < 0.0:
@@ -623,31 +624,15 @@ class Propagator:
         return out
 
 
-def evolve(superoperator: SparseComplexMatrix, rho0: DensityMatrix, tau_grid):
-    """Propagate a state to each delay of a nonnegative tau grid."""
-    prop = Propagator(superoperator)
-    mats = prop.propagate_vec(_vec(rho0.data), np.asarray(tau_grid, dtype=float))
-    return [DensityMatrix(data=_unvec(m), residual=None) for m in mats]
-
-
 def two_time_correlator(
-    superoperator: SparseComplexMatrix,
-    left_ops,
-    right_ops,
-    mid_op: np.ndarray,
-    tau_grid,
-    rho_ss: DensityMatrix,
+    superoperator: SparseComplexMatrix, seed: np.ndarray, readout: np.ndarray, tau_grid
 ):
-    """Steady-state correlator ``<A(t) B(t+tau) C(t)>`` for ``tau >= 0``.
+    """``Tr[readout exp(L tau)(seed)]`` on a nonnegative tau grid.
 
-    ``A`` is the ordered product of the dense ``left_ops``, ``C`` of
-    ``right_ops`` and ``B = mid_op``; the quantum regression theorem gives
-    ``Tr[B exp(L tau)(C rho_ss A)]``.
+    With ``seed = C rho_ss A`` this is the steady-state correlator
+    ``<A(t) B(t+tau) C(t)>`` of the quantum regression theorem, for
+    ``readout = B``; ``seed`` and ``readout`` are dense.
     """
-    ident = np.eye(rho_ss.dimension)
-    a_op = reduce(np.matmul, left_ops, ident)
-    c_op = reduce(np.matmul, right_ops, ident)
-    seed = c_op @ rho_ss.data @ a_op
     mats = Propagator(superoperator).propagate_vec(_vec(seed), tau_grid)
     # Tr[B X] = vec_C(B) . vec_F(X), one product for every delay
-    return (mats @ np.ravel(mid_op)).tolist()
+    return (mats @ np.ravel(readout)).tolist()

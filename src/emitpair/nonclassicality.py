@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dipole import DressedTriplet, EmitterPairConfig
+from .dipole import DressedTriplet, EmitterPairConfig, sideband_frequencies
 # build_assembly is unused here but stays bound: the four-sensor model is the
 # Bell oracle, and perfbench/test_perfbench.py checks that tracing rebinds it
 # in this module
@@ -161,16 +161,10 @@ def bell_quantifier(
 
 def leapfrog_lines(triplet: DressedTriplet):
     """The seven antidiagonals of joint two-photon emission, ascending."""
-    d12, d13, d23 = triplet.sideband_deltas
-    lines = [
-        LeapfrogLine(sum_value=-d13, label="-d13"),
-        LeapfrogLine(sum_value=-d23, label="-d23"),
-        LeapfrogLine(sum_value=-d12, label="-d12"),
-        LeapfrogLine(sum_value=0.0, label="0"),
-        LeapfrogLine(sum_value=d12, label="+d12"),
-        LeapfrogLine(sum_value=d23, label="+d23"),
-        LeapfrogLine(sum_value=d13, label="+d13"),
-    ]
+    lines = [LeapfrogLine(sum_value=0.0, label="0")]
+    for name in ("d12", "d23", "d13"):
+        gap = getattr(triplet, name)
+        lines = [LeapfrogLine(-gap, f"-{name}"), *lines, LeapfrogLine(gap, f"+{name}")]
     return sorted(lines, key=lambda line: line.sum_value)
 
 
@@ -189,9 +183,7 @@ def virtual_sample_point(
     each other.  Deterministic; increasing ``rank`` walks further out along
     the antidiagonal.
     """
-    lines = [0.0] + [
-        s * d for d in triplet.sideband_deltas for s in (1.0, -1.0)
-    ] + list(avoid)
+    lines = sideband_frequencies(triplet) + list(avoid)
 
     def clear(omega):
         return all(abs(omega - line) >= clearance for line in lines)

@@ -112,7 +112,7 @@ def g1(config: EmitterPairConfig, tau_grid):
     model = _emitting_model(config, "g1")
     emission = model.emission
     values = two_time_correlator(
-        model.superoperator, [emission.conj().T], [], emission, tau_grid, rho_ss=model.rho_ss
+        model.superoperator, model.rho_ss.data @ emission.conj().T, emission, tau_grid
     )
     return [v / model.intensity for v in values]
 
@@ -120,6 +120,17 @@ def g1(config: EmitterPairConfig, tau_grid):
 def default_omega_grid(config: EmitterPairConfig, count=401):
     half = dressed_triplet(config, effective_coefficients(config)).spectrum_window
     return np.linspace(-half, half, count)
+
+
+def _frequency_grid(config, omega_grid):
+    """``omega_grid`` as a float array, the default window when ``None``;
+    ``ValueError`` if a frequency is not finite."""
+    if omega_grid is None:
+        return default_omega_grid(config)
+    omega_grid = np.asarray(omega_grid, dtype=float)
+    if not np.all(np.isfinite(omega_grid)):
+        raise ValueError("omega grid must be finite")
+    return omega_grid
 
 
 def _narrow_line(model, omega_grid):
@@ -166,9 +177,7 @@ def spectrum_fourier(
     ``w`` lies above the laser, as for the sensor scan.
     """
     model = _emitting_model(config, "spectrum")
-    if omega_grid is None:
-        omega_grid = default_omega_grid(config)
-    omega_grid = np.asarray(omega_grid, dtype=float)
+    omega_grid = _frequency_grid(config, omega_grid)
     values = 2.0 * np.real(model.inelastic(-1j * omega_grid)) / model.intensity
     narrow_line = _narrow_line(model, omega_grid)
     if normalize:
@@ -198,12 +207,9 @@ def spectrum_sensor_scan(
     elastic line included.  It is evaluated in closed form, with no sensor in
     the model.
     """
-    if sensor_linewidth <= 0.0:
-        raise ValueError("sensor linewidth must be positive")
+    SensorSpec(0.0, sensor_linewidth)  # the sensors' one linewidth rule
     model = _emitting_model(config, "spectrum")
-    if omega_grid is None:
-        omega_grid = default_omega_grid(config)
-    omega_grid = np.asarray(omega_grid, dtype=float)
+    omega_grid = _frequency_grid(config, omega_grid)
     z = 0.5 * sensor_linewidth - 1j * omega_grid
     values = (2.0 / sensor_linewidth) * np.real(model.inelastic(z) + model.plateau / z)
     if normalize:
@@ -222,8 +228,7 @@ def g2_unfiltered(config: EmitterPairConfig, tau_grid):
     emission = model.emission
     raising = emission.conj().T
     numerator = two_time_correlator(
-        model.superoperator, [raising], [emission], raising @ emission, tau_grid,
-        rho_ss=model.rho_ss,
+        model.superoperator, emission @ model.rho_ss.data @ raising, raising @ emission, tau_grid
     )
     return [float(np.real(v)) / model.intensity**2 for v in numerator]
 

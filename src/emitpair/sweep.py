@@ -284,12 +284,15 @@ def run_sweep(
     points are checkpointed to ``<cfg.output_path>.ckpt`` every
     ``CHECKPOINT_EVERY`` results; pass ``resume_from`` to continue an
     interrupted sweep.  A keyboard interrupt writes the checkpoint and raises
-    :class:`SweepInterrupted`.
+    :class:`SweepInterrupted`.  Table tasks keep no checkpoint, so
+    ``resume_from`` raises ``ValueError`` for them.
     """
     start = time.monotonic()
     header = _base_header(cfg, timestamp)
 
     if cfg.task in _TABLE_TASKS:
+        if resume_from:
+            raise ValueError(f"task {cfg.task!r} keeps no checkpoint to resume from")
         columns, rows, extra = _TABLE_TASKS[cfg.task](cfg)
         header.update(extra)
         return _finish(header, columns, rows, start, timestamp)

@@ -1,4 +1,4 @@
-"""Geometry-dependent couplings, collective modes and the dressed ladder."""
+"""Geometry-dependent couplings and the dressed ladder."""
 
 import math
 import warnings
@@ -9,7 +9,6 @@ import pytest
 import emitpair as ep
 from emitpair.dipole import (
     DipoleCoefficients,
-    collective_modes,
     dipole_coefficients,
     dressed_triplet,
     effective_coefficients,
@@ -78,21 +77,6 @@ def test_cross_damping_bounded_by_single_atom_rate():
 def test_domain_error_at_contact():
     with pytest.raises(ValueError, match="kr12 must be positive"):
         ep.EmitterPairConfig(kr12=0.0, rabi=1.0)
-
-
-def test_collective_modes_identities():
-    modes = collective_modes(DipoleCoefficients(delta12=0.0, gamma12=0.0))
-    assert (modes.gamma_s, modes.gamma_a, modes.delta_s, modes.delta_a) == (
-        1.0,
-        1.0,
-        0.0,
-        0.0,
-    )
-    nearly_dark = collective_modes(DipoleCoefficients(delta12=-3.0, gamma12=0.9996))
-    assert nearly_dark.gamma_a == pytest.approx(4e-4)
-    shifted = collective_modes(DipoleCoefficients(delta12=-10.0, gamma12=0.5))
-    assert shifted.delta_s == -10.0
-    assert shifted.delta_a == 10.0
 
 
 def test_dressed_triplet_uncoupled_limit():
@@ -169,7 +153,6 @@ def test_sideband_frequencies_explicit_values():
     tri = ep.DressedTriplet(
         energies=(25.0, 0.0, -35.0),
         coefficients=(0.5, 0.5),
-        sideband_deltas=(25.0, 60.0, 35.0),
     )
     assert sideband_frequencies(tri) == [-60.0, -35.0, -25.0, 0.0, 25.0, 35.0, 60.0]
 

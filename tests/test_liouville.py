@@ -42,6 +42,12 @@ def unvec_f(v):
     return v.reshape((n, n), order="F")
 
 
+def propagated_states(superoperator, rho0, taus):
+    """``exp(L tau) rho0`` for each delay, as density matrices."""
+    vecs = Propagator(superoperator).propagate_vec(vec_f(rho0), taus)
+    return [DensityMatrix(data=unvec_f(v)) for v in vecs]
+
+
 def dense_master_action(h, channels, rho):
     """Direct dense evaluation of i[rho, H] + dissipators (test oracle)."""
     out = 1j * (rho @ h - h @ rho)
@@ -336,7 +342,7 @@ def test_hermiticity_preserved_under_evolution(pair_config):
     rho0[3, 3] = 0.6
     rho0[0, 0] = 0.4
     rho0[0, 3] = rho0[3, 0] = 0.2
-    states = ep.evolve(assembly.superoperator, DensityMatrix(data=rho0), np.linspace(0, 10, 11))
+    states = propagated_states(assembly.superoperator, rho0, np.linspace(0, 10, 11))
     for state in states:
         assert state.hermiticity_defect() < 1e-10
         assert state.trace() == pytest.approx(1.0, abs=1e-10)
@@ -410,9 +416,7 @@ def test_sensor_population_matches_filtered_correlation_integral(pair_config):
     emission = emission_operator(pair_config, assembly.layout)
     taus = np.linspace(0.0, 80.0, 32001)
     corr = np.asarray(
-        two_time_correlator(
-            assembly.superoperator, [emission.conj().T], [], emission, taus, rho_ss=rho
-        )
+        two_time_correlator(assembly.superoperator, rho.data @ emission.conj().T, emission, taus)
     )
     kernel = np.exp((1j * omega_s - 0.5 * linewidth) * taus)
     integral = np.trapezoid(corr * kernel, taus)
@@ -433,14 +437,14 @@ def test_sensor_population_matches_filtered_correlation_integral(pair_config):
 def test_evolve_at_zero_returns_initial_state(pair_config):
     assembly = build_assembly(pair_config, ())
     rho = steady_state(assembly)
-    out = ep.evolve(assembly.superoperator, rho, [0.0])
+    out = propagated_states(assembly.superoperator, rho.data, [0.0])
     np.testing.assert_allclose(out[0].data, rho.data, atol=1e-14)
 
 
 def test_steady_state_is_fixed_point(pair_config):
     assembly = build_assembly(pair_config, ())
     rho = steady_state(assembly)
-    out = ep.evolve(assembly.superoperator, rho, [0.0, 1.0, 5.0, 25.0])
+    out = propagated_states(assembly.superoperator, rho.data, [0.0, 1.0, 5.0, 25.0])
     for state in out:
         np.testing.assert_allclose(state.data, rho.data, atol=1e-9)
 
@@ -448,9 +452,9 @@ def test_steady_state_is_fixed_point(pair_config):
 def test_excited_atom_decays_exponentially():
     cfg = ep.EmitterPairConfig(atom_count=1, rabi=0.0)
     assembly = build_assembly(cfg, ())
-    excited = DensityMatrix(data=np.diag([0.0, 1.0]).astype(complex))
+    excited = np.diag([0.0, 1.0]).astype(complex)
     taus = np.linspace(0.0, 6.0, 13)
-    states = ep.evolve(assembly.superoperator, excited, taus)
+    states = propagated_states(assembly.superoperator, excited, taus)
     pops = [s.data[1, 1].real for s in states]
     np.testing.assert_allclose(pops, np.exp(-taus), atol=1e-10)
 
@@ -461,8 +465,8 @@ def test_propagation_matches_dense_expm():
     # stepping through the sorted delays must match the matrix exponential
     # of each delay on every one of them
     fig2c = ep.EmitterPairConfig(kr12=0.006, rabi=250.0)
-    _, d13, d23 = ep.dressed_triplet(fig2c, ep.dipole_coefficients(fig2c)).sideband_deltas
-    fig2c_sensors = (SensorSpec(d13, 5.0), SensorSpec(-d23, 5.0))
+    tri = ep.dressed_triplet(fig2c, ep.dipole_coefficients(fig2c))
+    fig2c_sensors = (SensorSpec(tri.d13, 5.0), SensorSpec(-tri.d23, 5.0))
     taus = np.linspace(0.0, 10.0, 21)
     for cfg, sensors, tol in (
         (ep.EmitterPairConfig(kr12=0.05, rabi=30.0), (), 5e-13),
@@ -514,7 +518,7 @@ def test_fallback_above_the_dense_limit_keeps_the_state_physical():
     assert not prop._dense
     ground = np.zeros((64, 64), dtype=complex)
     ground[0, 0] = 1.0
-    states = ep.evolve(assembly.superoperator, DensityMatrix(data=ground), [0.0, 0.5, 1.0])
+    states = propagated_states(assembly.superoperator, ground, [0.0, 0.5, 1.0])
     np.testing.assert_array_equal(states[0].data, ground)
     for state in states:
         assert abs(state.trace() - 1.0) < 1e-12
@@ -531,9 +535,7 @@ def test_correlator_at_zero_delay_is_plain_expectation(pair_config):
     rho = steady_state(assembly)
     emission = emission_operator(pair_config, assembly.layout)
     raising = emission.conj().T
-    value = two_time_correlator(
-        assembly.superoperator, [raising], [], emission, [0.0], rho_ss=rho
-    )[0]
+    value = two_time_correlator(assembly.superoperator, rho.data @ raising, emission, [0.0])[0]
     direct = expectation(raising @ emission, rho.data)
     assert value == pytest.approx(direct, abs=1e-13)
 
@@ -544,33 +546,25 @@ def test_correlator_factorizes_at_long_delay():
     rho = steady_state(assembly)
     emission = emission_operator(cfg, assembly.layout)
     raising = emission.conj().T
-    value = two_time_correlator(
-        assembly.superoperator, [raising], [], emission, [50.0], rho_ss=rho
-    )[0]
+    value = two_time_correlator(assembly.superoperator, rho.data @ raising, emission, [50.0])[0]
     factorized = expectation(raising, rho.data) * expectation(emission, rho.data)
     assert abs(value - factorized) < 1e-6
 
 
 def test_correlator_supports_operator_products(pair_config):
-    # seed C rho A with two-operator lists reproduces manual composition
+    # a two-operator seed C rho A and a product readout reproduce manual
+    # propagation and readout
     assembly = build_assembly(pair_config, ())
     rho = steady_state(assembly)
     emission = emission_operator(pair_config, assembly.layout)
     raising = emission.conj().T
     intensity_op = raising @ emission
-    via_lists = two_time_correlator(
-        assembly.superoperator,
-        [raising],
-        [emission],
-        intensity_op,
-        [0.4],
-        rho_ss=rho,
-    )[0]
     seed = emission @ np.asarray(rho.data) @ raising
+    value = two_time_correlator(assembly.superoperator, seed, intensity_op, [0.4])[0]
     prop = Propagator(assembly.superoperator)
     evolved = unvec_f(prop.propagate_vec(vec_f(seed), [0.4])[0])
     manual = expectation(intensity_op, evolved)
-    assert via_lists == pytest.approx(manual, abs=1e-13)
+    assert value == pytest.approx(manual, abs=1e-13)
 
 
 def test_sensor_spec_validation():
@@ -578,6 +572,10 @@ def test_sensor_spec_validation():
         SensorSpec(omega_s=0.0, linewidth=0.0)
     with pytest.raises(ValueError):
         SensorSpec(omega_s=0.0, linewidth=1.0, epsilon=-1e-4)
+    for bad in (math.nan, math.inf, -math.inf):
+        for fields in ((bad,), (0.0, bad), (0.0, 1.0, bad)):
+            with pytest.raises(ValueError, match="must be finite"):
+                SensorSpec(*fields)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         strong = SensorSpec(omega_s=0.0, linewidth=1.0, epsilon=0.5)

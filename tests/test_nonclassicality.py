@@ -22,21 +22,23 @@ def test_leapfrog_lines_explicit_sums():
     tri = ep.DressedTriplet(
         energies=(25.0, 0.0, -35.0),
         coefficients=(0.5, 0.5),
-        sideband_deltas=(25.0, 60.0, 35.0),
     )
     lines = leapfrog_lines(tri)
     assert len(lines) == 7
     assert [line.sum_value for line in lines] == [-60.0, -35.0, -25.0, 0.0, 25.0, 35.0, 60.0]
     labels = {line.label: line.sum_value for line in lines}
-    assert labels["+d12"] == 25.0
-    assert labels["-d13"] == -60.0
-    assert labels["0"] == 0.0
+    assert labels == {
+        "-d13": -60.0, "-d23": -35.0, "-d12": -25.0, "0": 0.0,
+        "+d12": 25.0, "+d23": 35.0, "+d13": 60.0,
+    }
 
 
 def test_leapfrog_degenerate_limit():
     cfg = ep.EmitterPairConfig(kr12=0.05, rabi=30.0)
     tri = ep.dressed_triplet(cfg, ep.DipoleCoefficients(delta12=0.0, gamma12=0.0))
-    sums = sorted({round(line.sum_value, 9) for line in leapfrog_lines(tri)})
+    lines = leapfrog_lines(tri)
+    assert [line.label for line in lines] == ["-d13", "-d23", "-d12", "0", "+d12", "+d23", "+d13"]
+    sums = sorted({round(line.sum_value, 9) for line in lines})
     assert sums == [-60.0, -30.0, 0.0, 30.0, 60.0]
 
 
@@ -50,9 +52,7 @@ def test_leapfrog_labels_round_trip(pair_triplet):
 
 
 def test_virtual_sample_point_clearances(pair_triplet):
-    lines = [0.0] + [
-        s * d for d in pair_triplet.sideband_deltas for s in (1.0, -1.0)
-    ]
+    lines = ep.sideband_frequencies(pair_triplet)
     for line in leapfrog_lines(pair_triplet):
         w1, w2 = virtual_sample_point(pair_triplet, line.sum_value, clearance=3.0)
         assert w1 + w2 == pytest.approx(line.sum_value, abs=1e-9)
@@ -93,7 +93,7 @@ def test_no_violation_away_from_all_antidiagonals(pair_config, pair_triplet):
     # from every single-photon resonance stay classical
     tri = pair_triplet
     sums = [line.sum_value for line in leapfrog_lines(tri)]
-    freqs = [0.0] + [s * d for d in tri.sideband_deltas for s in (1.0, -1.0)]
+    freqs = ep.sideband_frequencies(tri)
     for w1, w2 in [(8.0, -40.0), (12.0, 5.0), (-8.0, 48.0), (30.0, 16.0)]:
         assert min(abs(w1 + w2 - s) for s in sums) > 3.0
         assert min(abs(w - f) for w in (w1, w2) for f in freqs) > 3.0

@@ -231,9 +231,7 @@ def test_fourier_matches_correlator_quadrature(single_config):
     intensity = expectation(em.conj().T @ em, rho.data).real
     # every mode has decayed below 1e-8 by tau = 40
     tau = np.linspace(0.0, 40.0, 8001)
-    corr = two_time_correlator(
-        assembly.superoperator, [em.conj().T], [], em, tau, rho_ss=rho
-    )
+    corr = two_time_correlator(assembly.superoperator, rho.data @ em.conj().T, em, tau)
     gtilde = np.asarray(corr) / intensity - spec.elastic_weight
     oracle = [2.0 * np.trapezoid(gtilde * np.exp(1j * w * tau), tau).real for w in omegas]
     np.testing.assert_allclose(spec.values, oracle, rtol=1e-4)
@@ -284,6 +282,18 @@ def test_spectrum_refuses_undriven():
     cfg = ep.EmitterPairConfig(atom_count=1, rabi=0.0)
     with pytest.raises(ValueError):
         ep.spectrum_fourier(cfg)
+
+
+def test_spectra_refuse_non_finite_grids_and_linewidths(single_config):
+    # a non-finite frequency would otherwise poison the peak normalisation of
+    # the finite points too
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="omega grid must be finite"):
+            ep.spectrum_fourier(single_config, omega_grid=[bad, 0.0, 1.0])
+        with pytest.raises(ValueError, match="omega grid must be finite"):
+            ep.spectrum_sensor_scan(single_config, omega_grid=[0.0, bad])
+        with pytest.raises(ValueError, match="must be finite"):
+            ep.spectrum_sensor_scan(single_config, [0.0, 1.0], sensor_linewidth=bad)
 
 
 def test_default_window_covers_outermost_sideband(pair_config_module):

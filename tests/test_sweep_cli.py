@@ -10,7 +10,7 @@ import pytest
 
 import emitpair as ep
 from emitpair import liouville, sweep
-from emitpair.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARTIAL, main
+from emitpair.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARTIAL, EXIT_RUNTIME, main
 from emitpair.config import load_config, parse_overrides
 from emitpair.sweep import (
     SweepInterrupted,
@@ -257,6 +257,16 @@ def test_resume_rejects_a_checkpoint_of_another_engine_version(tmp_path, monkeyp
         run_sweep(cfg, workers=1, resume_from=str(ckpt), timestamp=False)
 
 
+def test_resume_on_a_table_task_is_refused(tmp_path):
+    # a table task keeps no checkpoint, so a resume request cannot be honoured
+    missing = tmp_path / "nonexist.ckpt"
+    with pytest.raises(ValueError, match="keeps no checkpoint"):
+        run_sweep(load_config("[task]\nkind = dressed\n"), resume_from=str(missing))
+    out = tmp_path / "fig1b.csv"
+    assert main(["run", "fig1b", "--resume", str(missing), "--out", str(out)]) == EXIT_RUNTIME
+    assert not out.exists()
+
+
 def test_bell_line_solves_the_atomic_steady_state_once_per_emitter(monkeypatch):
     original = liouville.steady_state
     calls = []
@@ -375,6 +385,18 @@ def test_cli_validate_refuses_an_emitter_the_solver_cannot_certify(capsys):
     # the dressed triplet is finite, but the atomic steady state fails its check
     assert main(["validate", "fig2c", "--set", "emitter.kr12=1e-100"]) == EXIT_CONFIG
     assert "config error: emitter: steady-state residual" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("preset, extra", [
+    ("fig1b", []), ("fig3c", []), ("fig2a", ["--set", "grid.count=2"]),
+], ids=["spectrum", "bell", "map"])
+def test_cli_run_refuses_an_emitter_the_solver_cannot_certify(preset, extra, tmp_path, capsys):
+    # run certifies the emitter as validate does: a config error, and no output
+    out = tmp_path / f"{preset}.csv"
+    argv = ["run", preset, "--set", "emitter.kr12=1e-100", *extra, "--out", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    assert "config error: emitter: steady-state residual" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_validate_near_contact_pair_is_not_a_traceback(capsys):
