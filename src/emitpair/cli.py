@@ -10,7 +10,7 @@
 ``output.format`` and ``run.workers`` and win over ``--set``.  ``run`` and
 ``validate`` both build the emitter's atomic model first, so an emitter the
 model builders reject, or whose steady state the solver cannot certify, is a
-configuration error.
+configuration error; so is an output path that is a directory or lies in none.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime error, 3 success with
 flagged points present in the output.
@@ -19,6 +19,7 @@ flagged points present in the output.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from importlib import resources
 
@@ -51,8 +52,6 @@ def _preset_description(entry):
 
 def _resolve_source(name):
     """A config argument is a file path first, then a preset name."""
-    import os
-
     if os.path.exists(name):
         try:
             with open(name, "r", encoding="utf-8") as fh:
@@ -132,6 +131,11 @@ def main(argv=None) -> int:
         atomic_model(cfg.emitter)
     except (SolverError, ValueError) as exc:
         print(f"config error: emitter: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    path = cfg.output_path
+    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+        print(f"config error: output.path: not a file in an existing directory: {path!r}",
+              file=sys.stderr)
         return EXIT_CONFIG
 
     if args.command == "validate":

@@ -55,8 +55,6 @@ import functools
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .dipole import EmitterPairConfig, dressed_triplet, effective_coefficients
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_overrides"]
@@ -186,7 +184,7 @@ _KEYS = {
     "tau.min": (_number, -3.0, None, ("g2tau",)),
     "tau.max": (_number, 3.0, None, ("g2tau",)),
     "tau.count": (_integer, 121, (lambda v: v >= 1, "need at least 1 point"), ("g2tau",)),
-    "output.path": (str, "result.csv", None, None),
+    "output.path": (str, "result.csv", (lambda v: v != "", "must not be empty"), None),
     "output.format": (_word, "csv", _choice(("csv", "json")), None),
     "run.workers": (_integer, 1, (lambda v: v >= 0, "must be >= 0 (0 = auto)"), None),
 }
@@ -335,8 +333,3 @@ def load_config(text, overrides=None) -> RunConfig:
         workers=values["run.workers"],
         echo=echo,
     )
-
-
-def axis_points(axis):
-    """Materialize an (min, max, count) axis as a float array."""
-    return np.linspace(*axis)

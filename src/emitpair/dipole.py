@@ -47,6 +47,14 @@ def _unit_vector(v, name):
     return tuple(float(v) for v in arr / np.linalg.norm(arr))
 
 
+def _check_finite(obj, names):
+    """``ValueError`` naming the first field of ``names`` that is not finite."""
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class EmitterPairConfig:
     """Geometry and drive of the emitter system, in decay-rate units.
@@ -70,6 +78,7 @@ class EmitterPairConfig:
     def __post_init__(self):
         if self.atom_count not in (1, 2):
             raise ValueError("atom_count must be 1 or 2")
+        _check_finite(self, ("kr12", "cos_theta12", "rabi"))
         if self.kr12 <= 0.0:
             raise ValueError("kr12 must be positive")
         if abs(self.cos_theta12) > 1.0:
@@ -112,6 +121,7 @@ class DipoleCoefficients:
     gamma12: float
 
     def __post_init__(self):
+        _check_finite(self, ("delta12", "gamma12"))
         if abs(self.gamma12) > 1.0:
             raise ValueError(
                 f"gamma12 = {self.gamma12} exceeds the single-emitter rate"

@@ -44,7 +44,6 @@ from .operators import (
     embed,
     expectation,
     sigma_minus,
-    sigma_plus,
     number_op,
 )
 
@@ -190,7 +189,7 @@ def build_hamiltonian(config: EmitterPairConfig, sensors) -> np.ndarray:
         coeffs = effective_coefficients(config)
         if coeffs.delta12 != 0.0:
             a0, a1 = layout.atom_sites
-            hop = embed(sigma_plus(), a0, layout) @ embed(sigma_minus(), a1, layout)
+            hop = embed(sigma_minus(), a0, layout).T @ embed(sigma_minus(), a1, layout)
             h = h + coeffs.delta12 * (hop + hop.conj().T)
 
     emission = emission_operator(config, layout)

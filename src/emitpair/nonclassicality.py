@@ -39,8 +39,6 @@ __all__ = [
 class CsiPoint:
     """Cauchy-Schwarz data at one frequency pair: ratio = g12^2/(g11 g22)."""
 
-    omega1: float
-    omega2: float
     g11: float
     g22: float
     g12: float
@@ -58,8 +56,6 @@ class BellPoint:
     ``quantifier > 2``.
     """
 
-    omega1: float
-    omega2: float
     b_terms: tuple
     quantifier: float
 
@@ -93,14 +89,7 @@ def csi_ratio(
             f"vanishing autocorrelation (g11={g11:.3e}, g22={g22:.3e}) at "
             f"({omega1}, {omega2})"
         )
-    return CsiPoint(
-        omega1=float(omega1),
-        omega2=float(omega2),
-        g11=g11,
-        g22=g22,
-        g12=g12,
-        ratio=g12**2 / (g11 * g22),
-    )
+    return CsiPoint(g11=g11, g22=g22, g12=g12, ratio=g12**2 / (g11 * g22))
 
 
 def bell_quantifier(
@@ -151,12 +140,7 @@ def bell_quantifier(
             f"vanishing Bell denominator at ({omega1}, {omega2})"
         )
     quantifier = float(np.sqrt(2.0) * abs(numerator / denominator))
-    return BellPoint(
-        omega1=float(omega1),
-        omega2=float(omega2),
-        b_terms=(b1111, b2222, b1221, b1122, b2211),
-        quantifier=quantifier,
-    )
+    return BellPoint(b_terms=(b1111, b2222, b1221, b1122, b2211), quantifier=quantifier)
 
 
 def leapfrog_lines(triplet: DressedTriplet):

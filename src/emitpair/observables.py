@@ -80,23 +80,15 @@ class SpectrumResult:
     omega_grid: np.ndarray
     values: np.ndarray
     elastic_weight: float
-    method: str
     narrow_line: tuple | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "omega_grid", np.asarray(self.omega_grid, dtype=float))
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
 
 
 @dataclass(frozen=True)
 class CorrelationPoint:
-    """Frequency-filtered photon-photon correlation at one point."""
+    """Frequency-filtered photon-photon correlation at one delay."""
 
-    omega1: float
-    omega2: float
     tau: float
     g2: float
-    sensor_linewidth: float
 
 
 def _emitting_model(config, output):
@@ -186,7 +178,6 @@ def spectrum_fourier(
         omega_grid=omega_grid,
         values=values,
         elastic_weight=model.plateau / model.intensity,
-        method="g1-fourier",
         narrow_line=narrow_line,
     )
 
@@ -218,7 +209,6 @@ def spectrum_sensor_scan(
         omega_grid=omega_grid,
         values=values,
         elastic_weight=model.plateau / model.intensity,
-        method="sensor-scan",
     )
 
 
@@ -282,13 +272,7 @@ def sensor_g2(
         config, omega1, omega2, sensor_linewidth, epsilon
     )
     value = float(np.real(expectation(num1 @ num2, rho.data))) / (n1 * n2)
-    return CorrelationPoint(
-        omega1=float(omega1),
-        omega2=float(omega2),
-        tau=0.0,
-        g2=value,
-        sensor_linewidth=sensor_linewidth,
-    )
+    return CorrelationPoint(tau=0.0, g2=value)
 
 
 def sensor_g2_tau(
@@ -329,23 +313,14 @@ def sensor_g2_tau(
             results[mask] = np.real(vecs @ (lift.T @ np.ravel(mid_op)))
     results /= n1 * n2
 
-    return [
-        CorrelationPoint(
-            omega1=float(omega1),
-            omega2=float(omega2),
-            tau=float(t),
-            g2=float(v),
-            sensor_linewidth=sensor_linewidth,
-        )
-        for t, v in zip(taus, results)
-    ]
+    return [CorrelationPoint(tau=float(t), g2=float(v)) for t, v in zip(taus, results)]
 
 
-def find_local_maxima(omega_grid, values, min_height_frac=1e-3):
-    """Interior local maxima above a relative height floor, as (omega, value)."""
+def find_local_maxima(omega_grid, values):
+    """Interior local maxima above 1e-3 of the highest value, as (omega, value)."""
     omega_grid = np.asarray(omega_grid, dtype=float)
     values = np.asarray(values, dtype=float)
-    floor = min_height_frac * float(np.max(values))
+    floor = 1e-3 * float(np.max(values))
     peaks = []
     for i in range(1, values.size - 1):
         if values[i] > values[i - 1] and values[i] > values[i + 1] and values[i] > floor:

@@ -21,7 +21,6 @@ __all__ = [
     "embed",
     "expectation",
     "sigma_minus",
-    "sigma_plus",
     "number_op",
 ]
 
@@ -84,18 +83,12 @@ def _read_only(entries):
 # Single-site blocks.  Basis convention per site: index 0 = ground, 1 = excited;
 # in tensor products the first factor is site 0 (most significant digit).
 _SIGMA_MINUS = _read_only([[0.0, 1.0], [0.0, 0.0]])
-_SIGMA_PLUS = _read_only([[0.0, 0.0], [1.0, 0.0]])
 _NUMBER = _read_only([[0.0, 0.0], [0.0, 1.0]])
 
 
 def sigma_minus():
     """Lowering operator |g><e| of a single two-level site."""
     return _SIGMA_MINUS
-
-
-def sigma_plus():
-    """Raising operator |e><g| of a single two-level site."""
-    return _SIGMA_PLUS
 
 
 def number_op():

@@ -21,7 +21,7 @@ from multiprocessing import Pool
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, axis_points
+from .config import RunConfig
 from .dipole import dipole_coefficients, dressed_triplet, effective_coefficients
 from .nonclassicality import bell_quantifier, csi_ratio
 from .observables import (
@@ -133,10 +133,10 @@ def _eval_point(payload):
 
 def _frequency_pairs(cfg: RunConfig):
     """The grid points in row order: along ``line_sum`` or the full product."""
-    w1s = [float(w) for w in axis_points(cfg.omega_axis)]
+    w1s = [float(w) for w in np.linspace(*cfg.omega_axis)]
     if cfg.line_sum is not None:
         return [(w1, float(cfg.line_sum - w1)) for w1 in w1s]
-    return [(w1, float(w2)) for w1 in w1s for w2 in axis_points(cfg.omega2_axis)]
+    return [(w1, float(w2)) for w1 in w1s for w2 in np.linspace(*cfg.omega2_axis)]
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +163,7 @@ def _dressed_table_rows(cfg: RunConfig):
 
 
 def _spectrum_rows(cfg: RunConfig):
-    grid = axis_points(cfg.omega_axis)
+    grid = np.linspace(*cfg.omega_axis)
     if cfg.method == "sensor":
         result = spectrum_sensor_scan(
             cfg.emitter,
@@ -185,7 +185,7 @@ def _spectrum_rows(cfg: RunConfig):
 
 
 def _g2tau_rows(cfg: RunConfig):
-    taus = axis_points(cfg.tau_axis)
+    taus = np.linspace(*cfg.tau_axis)
     points = sensor_g2_tau(
         cfg.emitter, cfg.omega1, cfg.omega2, cfg.sensor_linewidth, taus, cfg.epsilon
     )
@@ -357,8 +357,6 @@ def _finish(header, columns, rows, start, timestamp):
 def _format_cell(value):
     if isinstance(value, str):
         return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     return repr(float(value))
 
 

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from emitpair.config import ConfigError, axis_points, load_config, parse_overrides
+from emitpair.config import ConfigError, load_config, parse_overrides
 
 PAIR_SPECTRUM = """
 [emitter]
@@ -175,12 +175,6 @@ def test_single_atom_task():
     assert cfg.emitter.atom_count == 1
     with pytest.raises(ConfigError, match=r"emitter\.atoms"):
         load_config("[emitter]\natoms = 3\n")
-
-
-def test_axis_points_materialization():
-    pts = axis_points((-1.0, 1.0, 5))
-    assert list(pts) == [-1.0, -0.5, 0.0, 0.5, 1.0]
-    assert list(axis_points((2.0, 3.0, 1))) == [2.0]
 
 
 def test_output_and_run_sections():

@@ -79,6 +79,28 @@ def test_domain_error_at_contact():
         ep.EmitterPairConfig(kr12=0.0, rabi=1.0)
 
 
+non_finite = pytest.mark.parametrize(
+    "value", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"]
+)
+
+
+@non_finite
+@pytest.mark.parametrize("name", ["kr12", "cos_theta12", "rabi"])
+def test_non_finite_emitter_values_rejected(name, value):
+    # refused here, before a solver turns them into an unrelated failure
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        ep.EmitterPairConfig(**{name: value})
+
+
+@non_finite
+@pytest.mark.parametrize("name", ["delta12", "gamma12"])
+def test_non_finite_couplings_rejected(name, value):
+    # refused here, or dressed_triplet returns NaN energies without an error
+    fields = {"delta12": -10.0, "gamma12": 0.5, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        DipoleCoefficients(**fields)
+
+
 def test_dressed_triplet_uncoupled_limit():
     cfg = ep.EmitterPairConfig(kr12=0.05, rabi=7.0)
     tri = dressed_triplet(cfg, DipoleCoefficients(delta12=0.0, gamma12=0.0))

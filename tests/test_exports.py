@@ -1,6 +1,6 @@
 """Every name the package and its modules export resolves, and so does every
-binding the benchmark traces; one version; every package the tests import is
-declared."""
+binding the benchmark traces; no module imports a name it neither uses nor
+exports; one version; every package the tests import is declared."""
 
 import ast
 import importlib
@@ -25,6 +25,27 @@ def test_every_exported_name_resolves(module_name):
     module = importlib.import_module(module_name)
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert missing == []
+
+
+# imported but unused, on purpose: perfbench's own test checks that tracing
+# rebinds build_assembly in nonclassicality
+_UNUSED_IMPORTS_KEPT = {"emitpair.nonclassicality": {"build_assembly"}}
+
+
+@pytest.mark.parametrize("module_name", MODULES)
+def test_no_unused_imports(module_name):
+    path = Path(importlib.import_module(module_name).__file__)
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set(getattr(importlib.import_module(module_name), "__all__", ()))
+    kept = _UNUSED_IMPORTS_KEPT.get(module_name, set())
+    assert sorted(imported - used - exported - kept) == []
 
 
 def _project():

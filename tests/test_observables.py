@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 
 import emitpair as ep
 from emitpair import liouville
-from emitpair.config import axis_points, load_config
+from emitpair.config import load_config
 from emitpair.liouville import (
     SensorSpec,
     build_assembly,
@@ -260,7 +260,7 @@ def test_fourier_and_sensor_scan_share_the_frequency_axis():
 def test_no_narrow_line_for_independent_atoms():
     preset = resources.files("emitpair").joinpath("presets", "independent-atoms.cfg")
     cfg = load_config(preset.read_text())
-    spec = ep.spectrum_fourier(cfg.emitter, omega_grid=axis_points(cfg.omega_axis))
+    spec = ep.spectrum_fourier(cfg.emitter, omega_grid=np.linspace(*cfg.omega_axis))
     assert spec.narrow_line is None
 
 
@@ -370,7 +370,7 @@ def test_fig2c_trace_matches_its_richardson_limit():
     # 1.5e-5 and 3.6e-4 off.
     preset = resources.files("emitpair").joinpath("presets", "fig2c.cfg")
     cfg = load_config(preset.read_text())
-    taus = axis_points(cfg.tau_axis)
+    taus = np.linspace(*cfg.tau_axis)
 
     def trace(epsilon):
         points = ep.sensor_g2_tau(
@@ -441,6 +441,6 @@ def test_sensor_g2_epsilon_independence(pair_config, pair_triplet):
 def test_find_local_maxima_threshold():
     grid = np.linspace(-1, 1, 201)
     values = np.exp(-((grid - 0.4) ** 2) / 1e-3) + 1e-5 * np.cos(40 * grid)
-    peaks = find_local_maxima(grid, values, min_height_frac=1e-3)
+    peaks = find_local_maxima(grid, values)
     assert len(peaks) == 1
     assert peaks[0][0] == pytest.approx(0.4, abs=0.02)

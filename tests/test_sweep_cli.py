@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -102,6 +103,33 @@ def test_spectrum_sensor_task_matches_library():
     )
     values = [row[1] for row in table.rows]
     np.testing.assert_allclose(values, scan.values, rtol=1e-12)
+
+
+@pytest.mark.parametrize("preset", ["fig1b", "mollow-single-atom"])
+def test_fourier_spectrum_header_through_the_sweep(preset, tmp_path):
+    # the header carries the elastic weight, and the subradiant line of the
+    # pair; a single emitter has no line narrower than the grid spacing
+    overrides = ["task.method=fourier"]
+    out_file = tmp_path / "spectrum.csv"
+    argv = ["run", preset, "--set", *overrides, "--out", str(out_file), "--no-timestamp"]
+    assert main(argv) == EXIT_OK
+    header = read_result(out_file).header
+
+    text = resources.files("emitpair").joinpath("presets", f"{preset}.cfg").read_text()
+    cfg = load_config(text, parse_overrides(overrides))
+    spec = ep.spectrum_fourier(cfg.emitter, omega_grid=np.linspace(*cfg.omega_axis))
+    assert header["spectrum.elastic_weight"] == spec.elastic_weight
+    narrow_keys = [key for key in header if key.startswith("spectrum.narrow_line")]
+    if preset == "mollow-single-atom":
+        assert spec.narrow_line is None and narrow_keys == []
+        return
+    weight, center, hwhm = spec.narrow_line
+    assert narrow_keys == [f"spectrum.narrow_line_{k}" for k in ("weight", "center", "hwhm")]
+    assert header["spectrum.narrow_line_weight"] == weight
+    assert header["spectrum.narrow_line_center"] == center
+    assert header["spectrum.narrow_line_hwhm"] == hwhm
+    assert (weight, hwhm) == pytest.approx((1.1803e-4, 5.5525e-4), rel=1e-4)
+    assert spec.elastic_weight == pytest.approx(1.1111e-3, rel=1e-4)
 
 
 def test_sensor_spectrum_refuses_undriven():
@@ -427,6 +455,21 @@ def test_cli_bad_override_is_config_error(capsys):
 def test_cli_non_finite_override_is_config_error(capsys):
     assert main(["validate", "fig1b", "--set", "emitter.kr12=inf"]) == EXIT_CONFIG
     assert "config error: emitter.kr12" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "path", ["", "missing/x.csv", "folder"], ids=["empty", "no-directory", "a-directory"]
+)
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_cli_refuses_an_unwritable_output_path_up_front(command, path, tmp_path, monkeypatch, capsys):
+    # refused before any point is computed or any file written
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "folder").mkdir()
+    monkeypatch.setattr("emitpair.cli.run_sweep", lambda *args, **kwargs: pytest.fail("computed"))
+    argv = [command, "fig2a", "--set", "grid.count=3", "--set", f"output.path={path}"]
+    assert main(argv) == EXIT_CONFIG
+    assert "config error: output.path: " in capsys.readouterr().err
+    assert [p.name for p in tmp_path.rglob("*")] == ["folder"]
 
 
 def test_cli_normalizes_extreme_directions(capsys):
