@@ -7,8 +7,8 @@ excitation exchange, collective decay channels obtained by diagonalising the
 ``1 +- gamma12``), and one decay channel per sensor.  :func:`atomic_model`
 caches the atoms-only model of one emitter, on which :class:`SensorBlocks`
 takes the limit of vanishing sensor coupling with linear solves instead.
-:class:`Propagator` applies ``exp(L tau)`` by exact matrix exponentials, one
-per distinct step between sorted delays.
+:class:`Propagator` applies ``exp(L tau)`` of a dense generator by exact
+matrix exponentials, one per distinct step between sorted delays.
 
 Vectorisation is column-stacking throughout: ``vec(rho)`` concatenates the
 columns of ``rho`` (Fortran order), so ``vec(A rho B) = (B^T kron A) vec(rho)``
@@ -63,12 +63,7 @@ __all__ = [
     "SensorBlocks",
     "Propagator",
     "two_time_correlator",
-    "DENSE_PROPAGATION_LIMIT",
 ]
-
-# Superoperator dimension up to which a propagation step is a dense matrix
-# exponential; beyond it, the sparse matrix-exponential action.
-DENSE_PROPAGATION_LIMIT = 1024
 
 
 class SolverError(RuntimeError):
@@ -454,10 +449,10 @@ class AtomicModel:
     """The atoms-only model of one emitter; :func:`atomic_model` caches it.
 
     It vectorises its own generator, so it leaves the sensor models' cached
-    generator (:func:`build_assembly`) in place.  ``superoperator`` is the
-    atomic generator ``L`` (``generator``, dense),
-    ``rho_ss`` its :func:`steady_state`, ``emission`` the emission operator
-    ``E`` and ``intensity`` ``<E^dag E>``; its numpy arrays are read-only.  With
+    generator (:func:`build_assembly`) in place.  ``generator`` is the dense
+    atomic generator ``L``, ``rho_ss`` its :func:`steady_state` (one sparse
+    solve), ``emission`` the emission operator ``E`` and ``intensity``
+    ``<E^dag E>``; its numpy arrays are read-only.  With
     ``x = vec(rho_ss E^dag)`` and the covector ``c`` of ``Tr[E X]``, the field
     correlation is ``<E^dag(0) E(tau)> = c . exp(L tau) x``, a sum of modes
     ``a_k exp(lambda_k tau)`` of ``L``.  Its one-sided transform
@@ -472,11 +467,11 @@ class AtomicModel:
     """
 
     def __init__(self, config: EmitterPairConfig):
-        self.superoperator = vectorize(
+        superoperator = vectorize(
             build_hamiltonian(config, ()), build_collapse_channels(config, ())
         )
-        self.generator = _read_only(self.superoperator.to_dense())
-        self.rho_ss = rho = steady_state(self.superoperator)
+        self.generator = _read_only(superoperator.csr.toarray())
+        self.rho_ss = rho = steady_state(superoperator)
         self.emission = _read_only(emission_operator(config, HilbertLayout(config.atom_count)))
         raising = self.emission.conj().T
         self.intensity = float(np.real(expectation(raising @ self.emission, rho.data)))
@@ -578,60 +573,54 @@ class SensorBlocks:
 
 
 class Propagator:
-    """Applies ``exp(L tau)`` to vectorised operators.
+    """Applies ``exp(L tau)`` to vectorised operators, for a dense generator ``L``.
 
-    Steps through the sorted delays, each by ``exp(L delta)`` from the last.
-    Up to ``DENSE_PROPAGATION_LIMIT`` a step is a dense ``expm`` (scaling and
-    squaring; Al-Mohy and Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009)),
-    computed once per distinct step within a call, so a uniform grid costs a
-    few ``expm`` and an irregular one up to one per delay.  A larger
-    generator steps by the sparse matrix-exponential action (Al-Mohy and
-    Higham, SIAM J. Sci. Comput. 33, 488 (2011)).  Both are exact to rounding
-    at any conditioning of the eigenvectors of ``L``, an exceptional point
-    included.  Zero delay returns the input exactly.
+    Steps through the sorted delays, each by ``exp(L delta)`` from the last, a
+    dense ``expm`` (scaling and squaring; Al-Mohy and Higham, SIAM J. Matrix
+    Anal. Appl. 31, 970 (2009)) computed once per distinct step within a call,
+    so a uniform grid costs a few ``expm`` and an irregular one up to one per
+    delay.  This is exact to rounding at any conditioning of the eigenvectors
+    of ``L``, an exceptional point included.  Zero delay returns the input
+    exactly.
     """
 
-    def __init__(self, superoperator: SparseComplexMatrix):
-        self._gen = superoperator.csr
-        self._dense = self._gen.shape[0] <= DENSE_PROPAGATION_LIMIT
-        if self._dense:
-            self._gen = self._gen.toarray()
+    def __init__(self, generator: np.ndarray):
+        self._gen = generator
 
     def propagate_vec(self, vec0, taus):
         """Return ``exp(L tau) vec0`` for each nonnegative tau, one row per tau."""
         taus = np.asarray(taus, dtype=float)
+        if taus.ndim != 1:
+            raise ValueError("tau grid must be one-dimensional")
         if not np.all(np.isfinite(taus)):
             raise ValueError("tau grid must be finite")
         if np.any(taus < 0.0):
             raise ValueError("tau grid must be nonnegative")
         vec0 = np.asarray(vec0, dtype=np.complex128)
         out = np.empty((taus.size, vec0.size), dtype=np.complex128)
-        steps = {}  # delta -> dense exp(L delta), for this call only
+        steps = {}  # delta -> exp(L delta), for this call only
         vec, prev = vec0, 0.0
         for i in np.argsort(taus, kind="stable"):  # an equal delay reuses its row
             if taus[i] != prev:
                 delta = taus[i] - prev
-                if self._dense:
-                    step = steps.get(delta)
-                    if step is None:
-                        step = steps[delta] = expm(self._gen * delta)
-                    vec = step @ vec
-                else:
-                    vec = spla.expm_multiply(self._gen * delta, vec)
+                step = steps.get(delta)
+                if step is None:
+                    step = steps[delta] = expm(self._gen * delta)
+                vec = step @ vec
                 prev = taus[i]
             out[i] = vec
         return out
 
 
 def two_time_correlator(
-    superoperator: SparseComplexMatrix, seed: np.ndarray, readout: np.ndarray, tau_grid
+    generator: np.ndarray, seed: np.ndarray, readout: np.ndarray, tau_grid
 ):
     """``Tr[readout exp(L tau)(seed)]`` on a nonnegative tau grid.
 
     With ``seed = C rho_ss A`` this is the steady-state correlator
     ``<A(t) B(t+tau) C(t)>`` of the quantum regression theorem, for
-    ``readout = B``; ``seed`` and ``readout`` are dense.
+    ``readout = B``; ``L``, ``seed`` and ``readout`` are dense.
     """
-    mats = Propagator(superoperator).propagate_vec(_vec(seed), tau_grid)
+    mats = Propagator(generator).propagate_vec(_vec(seed), tau_grid)
     # Tr[B X] = vec_C(B) . vec_F(X), one product for every delay
     return (mats @ np.ravel(readout)).tolist()

@@ -35,7 +35,7 @@ from .liouville import (
     steady_state,
     two_time_correlator,
 )
-from .operators import SparseComplexMatrix, embed, expectation, number_op, sigma_minus
+from .operators import embed, expectation, number_op, sigma_minus
 
 __all__ = [
     "SpectrumResult",
@@ -104,7 +104,7 @@ def g1(config: EmitterPairConfig, tau_grid):
     model = _emitting_model(config, "g1")
     emission = model.emission
     values = two_time_correlator(
-        model.superoperator, model.rho_ss.data @ emission.conj().T, emission, tau_grid
+        model.generator, model.rho_ss.data @ emission.conj().T, emission, tau_grid
     )
     return [v / model.intensity for v in values]
 
@@ -116,10 +116,12 @@ def default_omega_grid(config: EmitterPairConfig, count=401):
 
 def _frequency_grid(config, omega_grid):
     """``omega_grid`` as a float array, the default window when ``None``;
-    ``ValueError`` if a frequency is not finite."""
+    ``ValueError`` unless it is non-empty, one-dimensional and finite."""
     if omega_grid is None:
         return default_omega_grid(config)
     omega_grid = np.asarray(omega_grid, dtype=float)
+    if omega_grid.ndim != 1 or omega_grid.size == 0:
+        raise ValueError("omega grid must be a non-empty one-dimensional array")
     if not np.all(np.isfinite(omega_grid)):
         raise ValueError("omega grid must be finite")
     return omega_grid
@@ -218,7 +220,7 @@ def g2_unfiltered(config: EmitterPairConfig, tau_grid):
     emission = model.emission
     raising = emission.conj().T
     numerator = two_time_correlator(
-        model.superoperator, emission @ model.rho_ss.data @ raising, raising @ emission, tau_grid
+        model.generator, emission @ model.rho_ss.data @ raising, raising @ emission, tau_grid
     )
     return [float(np.real(v)) / model.intensity**2 for v in numerator]
 
@@ -289,7 +291,7 @@ def sensor_g2_tau(
     ``<xi1+(t) n2(t+tau) xi1(t)> / (<n1><n2>)``; negative delays use the
     detection-order identity ``g2(w1, w2, -tau) = g2(w2, w1, tau)`` on the
     same assembled model.  Each branch propagates all its delays in one
-    :meth:`Propagator.propagate_vec` call on ``assembly.reduced`` (160 of 256
+    :meth:`Propagator.propagate_vec` call on the dense ``assembly.reduced`` (160 of 256
     dims for every preset's exchange-symmetric geometry, all 256 otherwise):
     the seed enters as ``V^T vec(xi rho xi^dag)`` and the readout as
     ``V^T ravel(n)``, with ``V = assembly.isometry``.  A branch costs one
@@ -297,11 +299,13 @@ def sensor_g2_tau(
     grid may come in any order and the points follow it.
     """
     taus = np.asarray(tau_grid, dtype=float)
+    if taus.ndim != 1:  # checked here too: the branches index the grid
+        raise ValueError("tau grid must be one-dimensional")
     assembly, rho, (lower1, lower2), (num1, num2), (n1, n2) = _two_sensor_state(
         config, omega1, omega2, sensor_linewidth, epsilon
     )
 
-    prop = Propagator(SparseComplexMatrix(assembly.reduced))
+    prop = Propagator(assembly.reduced.toarray())
     lift = assembly.isometry
     results = np.empty(taus.size, dtype=float)
     negative = taus < 0.0  # a NaN delay joins the positive branch, which refuses it

@@ -4,7 +4,8 @@ Hamiltonians, jump operators and sensor readouts are plain ``complex128``
 numpy arrays built from tensor products of 2x2 blocks embedded into a
 chain of sites (atoms first, then sensors).  Two atoms and at most
 four sensors make them at most 64x64.  Only the Lindblad superoperator
-(16 to 4096 dims) is sparse, held by :class:`SparseComplexMatrix`.
+(16 to 4096 dims) is assembled sparse, held by :class:`SparseComplexMatrix`
+for the sparse steady-state solve; propagation takes a dense generator.
 """
 
 from __future__ import annotations
@@ -40,9 +41,6 @@ class SparseComplexMatrix:
         csr.eliminate_zeros()
         csr.sum_duplicates()
         self.csr = csr
-
-    def to_dense(self):
-        return self.csr.toarray()
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Every name the package and its modules export resolves, and so does every
 binding the benchmark traces; no module imports a name it neither uses nor
-exports; one version; every package the tests import is declared."""
+exports, and no private definition goes unread; one version; every package
+the tests import is declared."""
 
 import ast
 import importlib
@@ -46,6 +47,39 @@ def test_no_unused_imports(module_name):
     exported = set(getattr(importlib.import_module(module_name), "__all__", ()))
     kept = _UNUSED_IMPORTS_KEPT.get(module_name, set())
     assert sorted(imported - used - exported - kept) == []
+
+
+def test_no_unread_private_definitions():
+    # a private function, class or constant that no module reads is dead,
+    # typically a helper that a removal left behind
+    trees = {
+        name: ast.parse(Path(importlib.import_module(name).__file__).read_text(encoding="utf-8"))
+        for name in MODULES
+    }
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = []
+    for module_name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            unread += [
+                f"{module_name}.{name}"
+                for name in names
+                if name.startswith("_") and not name.startswith("__") and name not in read
+            ]
+    assert unread == []
 
 
 def _project():

@@ -42,9 +42,9 @@ def unvec_f(v):
     return v.reshape((n, n), order="F")
 
 
-def propagated_states(superoperator, rho0, taus):
+def propagated_states(generator, rho0, taus):
     """``exp(L tau) rho0`` for each delay, as density matrices."""
-    vecs = Propagator(superoperator).propagate_vec(vec_f(rho0), taus)
+    vecs = Propagator(generator).propagate_vec(vec_f(rho0), taus)
     return [DensityMatrix(data=unvec_f(v)) for v in vecs]
 
 
@@ -314,7 +314,7 @@ def test_steady_state_factors_the_exchange_even_sector(monkeypatch):
 def test_undriven_atom_decay_spectrum():
     cfg = ep.EmitterPairConfig(atom_count=1, rabi=0.0)
     assembly = build_assembly(cfg, ())
-    vals = np.linalg.eigvals(assembly.superoperator.to_dense())
+    vals = np.linalg.eigvals(assembly.superoperator.csr.toarray())
     vals = np.sort_complex(vals)
     np.testing.assert_allclose(
         sorted(vals.real), [-1.0, -0.5, -0.5, 0.0], atol=1e-12
@@ -331,7 +331,7 @@ def test_trace_preservation_left_null_vector(pair_config):
 
 def test_spectral_abscissa_and_kernel_dimension(pair_config):
     assembly = build_assembly(pair_config, (SensorSpec(5.0, 1.0, 1e-4),))
-    vals = np.linalg.eigvals(assembly.superoperator.to_dense())
+    vals = np.linalg.eigvals(assembly.superoperator.csr.toarray())
     assert np.max(vals.real) < 1e-10
     assert np.sum(np.abs(vals) < 1e-8) == 1
 
@@ -342,7 +342,8 @@ def test_hermiticity_preserved_under_evolution(pair_config):
     rho0[3, 3] = 0.6
     rho0[0, 0] = 0.4
     rho0[0, 3] = rho0[3, 0] = 0.2
-    states = propagated_states(assembly.superoperator, rho0, np.linspace(0, 10, 11))
+    gen = assembly.superoperator.csr.toarray()
+    states = propagated_states(gen, rho0, np.linspace(0, 10, 11))
     for state in states:
         assert state.hermiticity_defect() < 1e-10
         assert state.trace() == pytest.approx(1.0, abs=1e-10)
@@ -415,9 +416,8 @@ def test_sensor_population_matches_filtered_correlation_integral(pair_config):
     rho = steady_state(assembly)
     emission = emission_operator(pair_config, assembly.layout)
     taus = np.linspace(0.0, 80.0, 32001)
-    corr = np.asarray(
-        two_time_correlator(assembly.superoperator, rho.data @ emission.conj().T, emission, taus)
-    )
+    gen = assembly.superoperator.csr.toarray()
+    corr = np.asarray(two_time_correlator(gen, rho.data @ emission.conj().T, emission, taus))
     kernel = np.exp((1j * omega_s - 0.5 * linewidth) * taus)
     integral = np.trapezoid(corr * kernel, taus)
     oracle = 2.0 * eps**2 / linewidth * integral.real
@@ -437,14 +437,15 @@ def test_sensor_population_matches_filtered_correlation_integral(pair_config):
 def test_evolve_at_zero_returns_initial_state(pair_config):
     assembly = build_assembly(pair_config, ())
     rho = steady_state(assembly)
-    out = propagated_states(assembly.superoperator, rho.data, [0.0])
+    out = propagated_states(assembly.superoperator.csr.toarray(), rho.data, [0.0])
     np.testing.assert_allclose(out[0].data, rho.data, atol=1e-14)
 
 
 def test_steady_state_is_fixed_point(pair_config):
     assembly = build_assembly(pair_config, ())
     rho = steady_state(assembly)
-    out = propagated_states(assembly.superoperator, rho.data, [0.0, 1.0, 5.0, 25.0])
+    gen = assembly.superoperator.csr.toarray()
+    out = propagated_states(gen, rho.data, [0.0, 1.0, 5.0, 25.0])
     for state in out:
         np.testing.assert_allclose(state.data, rho.data, atol=1e-9)
 
@@ -454,7 +455,7 @@ def test_excited_atom_decays_exponentially():
     assembly = build_assembly(cfg, ())
     excited = np.diag([0.0, 1.0]).astype(complex)
     taus = np.linspace(0.0, 6.0, 13)
-    states = propagated_states(assembly.superoperator, excited, taus)
+    states = propagated_states(assembly.superoperator.csr.toarray(), excited, taus)
     pops = [s.data[1, 1].real for s in states]
     np.testing.assert_allclose(pops, np.exp(-taus), atol=1e-10)
 
@@ -483,8 +484,8 @@ def test_propagation_matches_dense_expm():
         rho = steady_state(assembly)
         emission = emission_operator(cfg, assembly.layout)
         seed = vec_f(emission @ np.asarray(rho.data) @ emission.conj().T)
-        prop = Propagator(assembly.superoperator)
-        gen = assembly.superoperator.to_dense()
+        gen = assembly.superoperator.csr.toarray()
+        prop = Propagator(gen)
         exact = np.array([expm(gen * tau) @ seed for tau in taus])
         out = prop.propagate_vec(seed, taus)
         assert np.max(np.abs(out - exact)) < tol * np.max(np.abs(seed))
@@ -494,12 +495,15 @@ def test_propagator_rejects_negative_taus_and_keeps_grid_order():
     # the pair, and a single atom on the Mollow exceptional point
     for cfg in (ep.EmitterPairConfig(), ep.EmitterPairConfig(atom_count=1, rabi=0.25)):
         assembly = build_assembly(cfg, ())
-        prop = Propagator(assembly.superoperator)
+        prop = Propagator(assembly.superoperator.csr.toarray())
         rho = steady_state(assembly)
         emission = emission_operator(cfg, assembly.layout)
         seed = vec_f(emission @ np.asarray(rho.data) @ emission.conj().T)
         for bad in ([-1.0, 0.5], [0.0, np.nan, 1.0], [np.inf], [0.5, -np.inf]):
             with pytest.raises(ValueError):
+                prop.propagate_vec(seed, bad)
+        for bad in (0.5, [[0.0, 1.0]], [[0.0], [1.0]]):
+            with pytest.raises(ValueError, match="tau grid must be one-dimensional"):
                 prop.propagate_vec(seed, bad)
         taus = np.array([2.0, 0.0, 0.5, 3.0, 1.0, 0.5])
         order = np.argsort(taus)
@@ -510,23 +514,6 @@ def test_propagator_rejects_negative_taus_and_keeps_grid_order():
         assert np.array_equal(unsorted[1], seed)  # zero delay is exact
 
 
-def test_fallback_above_the_dense_limit_keeps_the_state_physical():
-    # 2 atoms + 4 sensors: a 4096-dim generator, beyond DENSE_PROPAGATION_LIMIT
-    sensors = [SensorSpec(omega_s=w, epsilon=1e-2) for w in (-60.0, -25.0, 25.0, 60.0)]
-    assembly = build_assembly(ep.EmitterPairConfig(), sensors)
-    prop = Propagator(assembly.superoperator)
-    assert not prop._dense
-    ground = np.zeros((64, 64), dtype=complex)
-    ground[0, 0] = 1.0
-    states = propagated_states(assembly.superoperator, ground, [0.0, 0.5, 1.0])
-    np.testing.assert_array_equal(states[0].data, ground)
-    for state in states:
-        assert abs(state.trace() - 1.0) < 1e-12
-        assert state.hermiticity_defect() < 1e-12
-    half = prop.propagate_vec(prop.propagate_vec(vec_f(ground), [0.5])[0], [0.5])[0]
-    np.testing.assert_allclose(half, vec_f(states[2].data), rtol=0, atol=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # Two-time correlators
 
@@ -535,7 +522,8 @@ def test_correlator_at_zero_delay_is_plain_expectation(pair_config):
     rho = steady_state(assembly)
     emission = emission_operator(pair_config, assembly.layout)
     raising = emission.conj().T
-    value = two_time_correlator(assembly.superoperator, rho.data @ raising, emission, [0.0])[0]
+    gen = assembly.superoperator.csr.toarray()
+    value = two_time_correlator(gen, rho.data @ raising, emission, [0.0])[0]
     direct = expectation(raising @ emission, rho.data)
     assert value == pytest.approx(direct, abs=1e-13)
 
@@ -546,7 +534,8 @@ def test_correlator_factorizes_at_long_delay():
     rho = steady_state(assembly)
     emission = emission_operator(cfg, assembly.layout)
     raising = emission.conj().T
-    value = two_time_correlator(assembly.superoperator, rho.data @ raising, emission, [50.0])[0]
+    gen = assembly.superoperator.csr.toarray()
+    value = two_time_correlator(gen, rho.data @ raising, emission, [50.0])[0]
     factorized = expectation(raising, rho.data) * expectation(emission, rho.data)
     assert abs(value - factorized) < 1e-6
 
@@ -560,8 +549,9 @@ def test_correlator_supports_operator_products(pair_config):
     raising = emission.conj().T
     intensity_op = raising @ emission
     seed = emission @ np.asarray(rho.data) @ raising
-    value = two_time_correlator(assembly.superoperator, seed, intensity_op, [0.4])[0]
-    prop = Propagator(assembly.superoperator)
+    gen = assembly.superoperator.csr.toarray()
+    value = two_time_correlator(gen, seed, intensity_op, [0.4])[0]
+    prop = Propagator(gen)
     evolved = unvec_f(prop.propagate_vec(vec_f(seed), [0.4])[0])
     manual = expectation(intensity_op, evolved)
     assert value == pytest.approx(manual, abs=1e-13)

@@ -231,7 +231,8 @@ def test_fourier_matches_correlator_quadrature(single_config):
     intensity = expectation(em.conj().T @ em, rho.data).real
     # every mode has decayed below 1e-8 by tau = 40
     tau = np.linspace(0.0, 40.0, 8001)
-    corr = two_time_correlator(assembly.superoperator, rho.data @ em.conj().T, em, tau)
+    gen = assembly.superoperator.csr.toarray()
+    corr = two_time_correlator(gen, rho.data @ em.conj().T, em, tau)
     gtilde = np.asarray(corr) / intensity - spec.elastic_weight
     oracle = [2.0 * np.trapezoid(gtilde * np.exp(1j * w * tau), tau).real for w in omegas]
     np.testing.assert_allclose(spec.values, oracle, rtol=1e-4)
@@ -294,6 +295,11 @@ def test_spectra_refuse_non_finite_grids_and_linewidths(single_config):
             ep.spectrum_sensor_scan(single_config, omega_grid=[0.0, bad])
         with pytest.raises(ValueError, match="must be finite"):
             ep.spectrum_sensor_scan(single_config, [0.0, 1.0], sensor_linewidth=bad)
+    # an empty, scalar or 2-d grid has no frequency axis to put a spectrum on
+    for bad in ([], 0.5, [[0.0, 1.0], [2.0, 3.0]]):
+        for spectrum in (ep.spectrum_fourier, ep.spectrum_sensor_scan):
+            with pytest.raises(ValueError, match="non-empty one-dimensional"):
+                spectrum(single_config, omega_grid=bad)
 
 
 def test_default_window_covers_outermost_sideband(pair_config_module):
@@ -311,6 +317,24 @@ def test_default_window_covers_outermost_sideband(pair_config_module):
 def test_single_atom_antibunching(single_config):
     values = ep.g2_unfiltered(single_config, [0.0])
     assert abs(values[0]) < 1e-6
+
+
+def test_single_atom_g2_matches_its_closed_form():
+    # resonance fluorescence of one driven atom (Kimble and Mandel, PRA 13,
+    # 2123 (1976)): g2 = 1 - exp(-3 tau/4) [cosh(k tau) + 3/(4k) sinh(k tau)]
+    # with k = sqrt(1/16 - rabi^2), imaginary above the exceptional point
+    # rabi = 1/4 and 1 - exp(-3 tau/4) (1 + 3 tau/4) on it; observed worst
+    # 4.7e-15 over these drives
+    taus = np.linspace(0.0, 12.0, 49)
+    for rabi in (0.1, 0.25, 0.3, 2.0, 30.0):
+        got = ep.g2_unfiltered(ep.EmitterPairConfig(atom_count=1, rabi=rabi), taus)
+        k = np.emath.sqrt(1.0 / 16.0 - rabi**2)
+        if k == 0.0:
+            envelope = 1.0 + 0.75 * taus
+        else:
+            envelope = np.real(np.cosh(k * taus) + 0.75 / k * np.sinh(k * taus))
+        want = 1.0 - np.exp(-0.75 * taus) * envelope
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 def test_g2_long_delay_factorization_moderate_coupling():
@@ -425,6 +449,9 @@ def test_sensor_g2_tau_grid_order_and_zero_consistency(pair_config, pair_triplet
     assert points[1].g2 == pytest.approx(zero_delay, rel=1e-10)
     for bad in ([0.5, np.nan], [-np.inf, 1.0]):
         with pytest.raises(ValueError, match="finite"):
+            ep.sensor_g2_tau(pair_config, w1, w2, 1.0, bad)
+    for bad in (0.5, [[-1.0, 0.0], [1.0, 2.0]]):
+        with pytest.raises(ValueError, match="tau grid must be one-dimensional"):
             ep.sensor_g2_tau(pair_config, w1, w2, 1.0, bad)
 
 
