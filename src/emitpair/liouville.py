@@ -292,21 +292,41 @@ def _exchange_isometry(layout: HilbertLayout):
 _EXCHANGE_DEFECT_TOL = 1e-13
 
 
+def _with_diagonal_slots(csr):
+    """``csr`` with every diagonal slot stored, an explicit zero where it has
+    none, and each slot's index into ``data``.  The COO sum adds ``0.0`` to a
+    stored diagonal entry, which leaves it as it was."""
+    coo, diag = csr.tocoo(), np.arange(csr.shape[0])
+    ij = (np.append(coo.row, diag), np.append(coo.col, diag))
+    padded = sp.csr_matrix((np.append(coo.data, np.zeros(diag.size)), ij), shape=csr.shape)
+    return padded, np.flatnonzero(padded.indices == np.repeat(diag, np.diff(padded.indptr)))
+
+
+def _shifted(padded, slots, shift):
+    """``padded + diag(shift)`` on a copy of ``data``: the one sum per slot of a
+    union add.  It shares ``padded``'s index arrays and keeps exact zeros."""
+    data = padded.data.copy()
+    data[slots] += shift
+    return sp.csr_matrix((data, padded.indices, padded.indptr), shape=padded.shape)
+
+
 @lru_cache(maxsize=1)
 def _detuning_free_generator(config: EmitterPairConfig, sensor_rates):
     """Superoperator with every sensor at zero frequency, one per sweep.
 
     ``sensor_rates`` holds each sensor's ``(linewidth, epsilon)``.  Returns
-    the generator ``L``, the isometry ``V`` of :class:`ModelAssembly`, each
-    column's smallest basis index and ``V^T L V``.  For an exchange-symmetric
-    pair the reduction is checked once here: ``L V = V (V^T L V)`` must hold
-    to round-off, or :class:`SolverError` is raised.
+    the generator ``L`` and ``V^T L V``, each with its diagonal slots
+    (:func:`_with_diagonal_slots`), the isometry ``V`` of :class:`ModelAssembly`
+    and each column's smallest basis index.  For an exchange-symmetric pair
+    the reduction is checked once here: ``L V = V (V^T L V)`` must hold to
+    round-off, or :class:`SolverError` is raised.
     """
     sensors = [SensorSpec(0.0, linewidth, epsilon) for linewidth, epsilon in sensor_rates]
     gen = vectorize(build_hamiltonian(config, sensors), build_collapse_channels(config, sensors))
     n = gen.csr.shape[0]
     if not _exchange_symmetric(config):
-        return gen, sp.identity(n, format="csr"), np.arange(n), gen.csr
+        padded = _with_diagonal_slots(gen.csr)
+        return padded, padded, sp.identity(n, format="csr"), np.arange(n)
     isometry, reps = _exchange_isometry(HilbertLayout(config.atom_count, len(sensors)))
     reduced = (isometry.T @ gen.csr @ isometry).tocsr()
     defect = spla.norm(gen.csr @ isometry - isometry @ reduced)
@@ -315,7 +335,7 @@ def _detuning_free_generator(config: EmitterPairConfig, sensor_rates):
             f"atom exchange leaves a generator defect {defect:.3e}; the "
             "exchange-even sector is not invariant"
         )
-    return gen, isometry, reps, reduced
+    return _with_diagonal_slots(gen.csr), _with_diagonal_slots(reduced), isometry, reps
 
 
 def build_assembly(config: EmitterPairConfig, sensors=()) -> ModelAssembly:
@@ -328,7 +348,9 @@ def build_assembly(config: EmitterPairConfig, sensors=()) -> ModelAssembly:
     ``h = sum_s omega_s * diag(n_s)``.  Everything else comes from the one
     cached detuning-free generator (keyed by the frozen emitter and each
     sensor's linewidth and coupling), so a sweep over frequencies builds it
-    once.  Summing ``h`` in sensor order, as :func:`build_hamiltonian` does,
+    once, with every diagonal slot stored: a point adds the shift into a copy
+    of its ``data`` and drops exact zeros, as adding ``diag(shift)`` would.
+    Summing ``h`` in sensor order, as :func:`build_hamiltonian` does,
     reproduces the full build entry for entry.
 
     A pair with two atoms, equal laser phases and equal detection phases
@@ -341,19 +363,18 @@ def build_assembly(config: EmitterPairConfig, sensors=()) -> ModelAssembly:
     """
     sensors = tuple(sensors)
     layout = HilbertLayout(config.atom_count, len(sensors))
-    base, isometry, reps, reduced = _detuning_free_generator(
+    (base, base_slots), (reduced, slots), isometry, reps = _detuning_free_generator(
         config, tuple((s.linewidth, s.epsilon) for s in sensors)
     )
     h = np.zeros(layout.dimension)
     for site, spec in zip(layout.sensor_sites, sensors):
         h = h + spec.omega_s * embed(number_op(), site, layout).diagonal().real
     shift = 1j * np.subtract.outer(h, h).ravel()
-    return ModelAssembly(
-        layout=layout,
-        superoperator=SparseComplexMatrix(base.csr + sp.diags(shift, format="csr")),
-        isometry=isometry,
-        reduced=reduced + sp.diags(shift[reps], format="csr"),
-    )
+    superoperator = SparseComplexMatrix(_shifted(base, base_slots, shift))  # copies
+    reduced = _shifted(reduced, slots, shift[reps])
+    reduced.indices, reduced.indptr = reduced.indices.copy(), reduced.indptr.copy()
+    reduced.eliminate_zeros()  # in place, so on index arrays of its own
+    return ModelAssembly(layout, superoperator, isometry, reduced)
 
 
 def _trace_constrained_system(gen: sp.csr_matrix, trace_row: np.ndarray):

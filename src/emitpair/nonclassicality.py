@@ -165,8 +165,13 @@ def virtual_sample_point(
     ``rank``-th pair whose two frequencies keep at least ``clearance`` from
     every single-photon line (and any extra ``avoid`` frequencies) and from
     each other.  Deterministic; increasing ``rank`` walks further out along
-    the antidiagonal.
+    the antidiagonal.  A clearance that is not finite and positive, or a
+    negative rank, is refused with :class:`ValueError`.
     """
+    if not 0.0 < clearance < np.inf:  # NaN fails too
+        raise ValueError("clearance must be finite and positive")
+    if rank < 0:
+        raise ValueError("rank must be nonnegative")
     lines = sideband_frequencies(triplet) + list(avoid)
 
     def clear(omega):

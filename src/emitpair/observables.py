@@ -301,6 +301,10 @@ def sensor_g2_tau(
     taus = np.asarray(tau_grid, dtype=float)
     if taus.ndim != 1:  # checked here too: the branches index the grid
         raise ValueError("tau grid must be one-dimensional")
+    if taus.size == 0:  # nothing to solve for, once the sensors are known to be valid
+        for omega in (omega1, omega2):
+            SensorSpec(float(omega), sensor_linewidth, epsilon)
+        return []
     assembly, rho, (lower1, lower2), (num1, num2), (n1, n2) = _two_sensor_state(
         config, omega1, omega2, sensor_linewidth, epsilon
     )
@@ -324,6 +328,10 @@ def find_local_maxima(omega_grid, values):
     """Interior local maxima above 1e-3 of the highest value, as (omega, value)."""
     omega_grid = np.asarray(omega_grid, dtype=float)
     values = np.asarray(values, dtype=float)
+    if omega_grid.ndim != 1 or omega_grid.size == 0 or omega_grid.shape != values.shape:
+        raise ValueError(
+            "omega grid and values must be non-empty one-dimensional arrays of equal length"
+        )
     floor = 1e-3 * float(np.max(values))
     peaks = []
     for i in range(1, values.size - 1):

@@ -199,7 +199,22 @@ def assert_same_csr(a, b):
 
 def assert_assembly_matches_full_vectorization(cfg, sensors):
     full = vectorize(build_hamiltonian(cfg, sensors), build_collapse_channels(cfg, sensors))
-    assert_same_csr(build_assembly(cfg, sensors).superoperator.csr, full.csr)
+    assembly = build_assembly(cfg, sensors)
+    assert_same_csr(assembly.superoperator.csr, full.csr)
+    # the reduced generator against a union add of the sector's diagonal shift
+    # onto V^T L V at zero sensor frequencies, kept here as the reference
+    at_zero = tuple(SensorSpec(0.0, s.linewidth, s.epsilon) for s in sensors)
+    full0 = vectorize(build_hamiltonian(cfg, at_zero), build_collapse_channels(cfg, at_zero))
+    layout, isometry = assembly.layout, assembly.isometry
+    h = sum(
+        (s.omega_s * embed(number_op(), site, layout).diagonal().real
+         for site, s in zip(layout.sensor_sites, sensors)),
+        np.zeros(layout.dimension),
+    )
+    shift = 1j * np.subtract.outer(h, h).ravel()
+    reps = np.asarray(isometry.argmax(axis=0)).ravel()  # each column's smallest index
+    ref = (isometry.T @ full0.csr @ isometry).tocsr() + sp.diags(shift[reps], format="csr")
+    assert_same_csr(assembly.reduced, ref)
 
 
 def test_build_assembly_matches_full_vectorization():
@@ -229,6 +244,26 @@ def test_build_assembly_matches_full_vectorization():
 def test_build_assembly_matches_full_vectorization_at_drawn_frequencies(omegas):
     cfg = ep.EmitterPairConfig(kr12=0.05, rabi=30.0)
     assert_assembly_matches_full_vectorization(cfg, tuple(SensorSpec(w) for w in omegas))
+
+
+def test_assemblies_share_no_array_with_each_other_or_the_cache():
+    # the per-point shift is added into copies: building and solving another
+    # point leaves an earlier assembly as it was
+    pair = ep.EmitterPairConfig()
+    first = build_assembly(pair, (SensorSpec(10.0), SensorSpec(-20.0)))
+    names = ("data", "indices", "indptr")
+    matrices = (first.superoperator.csr, first.reduced)
+    before = [[getattr(m, name).copy() for name in names] for m in matrices]
+    second = build_assembly(pair, (SensorSpec(-3.0), SensorSpec(7.5)))
+    steady_state(second)
+    for m, saved in zip(matrices, before):
+        for name, arr in zip(names, saved):
+            assert np.array_equal(getattr(m, name), arr), name
+    cached = _detuning_free_generator(pair, ((1.0, 1e-4), (1.0, 1e-4)))
+    for m in matrices + (second.superoperator.csr, second.reduced):
+        for name in names:
+            for padded, _ in cached[:2]:
+                assert not np.shares_memory(getattr(m, name), getattr(padded, name)), name
 
 
 def test_build_assembly_does_not_repeat_the_coupling_warning():

@@ -61,6 +61,16 @@ def test_virtual_sample_point_clearances(pair_triplet):
             assert min(abs(omega - ln) for ln in lines) >= 3.0
 
 
+def test_virtual_sample_point_refuses_a_meaningless_clearance_or_rank(pair_triplet):
+    for clearance in (0.0, -3.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="clearance must be finite and positive"):
+            virtual_sample_point(pair_triplet, pair_triplet.d12, clearance=clearance)
+    with pytest.raises(ValueError, match="rank must be nonnegative"):
+        virtual_sample_point(pair_triplet, pair_triplet.d12, rank=-1)
+    w1, w2 = virtual_sample_point(pair_triplet, pair_triplet.d12, clearance=0.5)
+    assert abs(w1 - w2) >= 0.5
+
+
 def test_csi_point_fields_consistent(pair_config, pair_triplet):
     w1, w2 = virtual_sample_point(pair_triplet, pair_triplet.d12)
     point = csi_ratio(pair_config, w1, w2, 1.0)

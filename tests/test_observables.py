@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import emitpair as ep
-from emitpair import liouville
+from emitpair import liouville, observables
 from emitpair.config import load_config
 from emitpair.liouville import (
     SensorSpec,
@@ -455,6 +455,25 @@ def test_sensor_g2_tau_grid_order_and_zero_consistency(pair_config, pair_triplet
             ep.sensor_g2_tau(pair_config, w1, w2, 1.0, bad)
 
 
+def test_sensor_g2_tau_on_an_empty_grid_solves_nothing(monkeypatch, pair_config):
+    calls = []
+    for name in ("build_assembly", "steady_state"):
+        original = getattr(observables, name)
+        monkeypatch.setattr(
+            observables, name, lambda *a, f=original, n=name: calls.append(n) or f(*a)
+        )
+    assert ep.sensor_g2_tau(pair_config, 10.0, -10.0, 1.0, []) == []
+    assert calls == []
+    for linewidth in (0.0, -1.0, np.nan):  # the sensors are still checked
+        with pytest.raises(ValueError, match="linewidth"):
+            ep.sensor_g2_tau(pair_config, 10.0, -10.0, linewidth, [])
+    with pytest.raises(ValueError, match="finite"):
+        ep.sensor_g2_tau(pair_config, np.inf, -10.0, 1.0, [])
+    assert calls == []
+    ep.sensor_g2_tau(pair_config, 10.0, -10.0, 1.0, [0.0])  # the counters count
+    assert calls == ["build_assembly", "steady_state"]
+
+
 def test_sensor_g2_epsilon_independence(pair_config, pair_triplet):
     w1, w2 = pair_triplet.d12, -pair_triplet.d12
     base = ep.sensor_g2(pair_config, w1, w2, 1.0, epsilon=1e-4).g2
@@ -471,3 +490,16 @@ def test_find_local_maxima_threshold():
     peaks = find_local_maxima(grid, values)
     assert len(peaks) == 1
     assert peaks[0][0] == pytest.approx(0.4, abs=0.02)
+
+
+def test_find_local_maxima_refuses_unusable_arrays():
+    for grid, values in (
+        ([0.0, 1.0, 2.0], [1.0, 2.0]),  # lengths differ
+        ([0.0, 1.0], [1.0, 2.0, 1.0]),
+        ([], []),
+        ([[0.0, 1.0, 2.0]], [[1.0, 2.0, 1.0]]),  # two-dimensional
+        (0.0, 1.0),
+    ):
+        with pytest.raises(ValueError, match="non-empty one-dimensional arrays of equal length"):
+            find_local_maxima(grid, values)
+    assert find_local_maxima([0.0, 1.0, 2.0], [1.0, 2.0, 1.0]) == [(1.0, 2.0)]
