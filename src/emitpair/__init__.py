@@ -35,14 +35,11 @@ from .liouville import (
 from .nonclassicality import (
     BellPoint,
     CsiPoint,
-    LeapfrogLine,
     bell_quantifier,
     csi_ratio,
-    leapfrog_lines,
     virtual_sample_point,
 )
 from .observables import (
-    CorrelationPoint,
     SpectrumResult,
     UndefinedCorrelationError,
     find_local_maxima,
@@ -81,12 +78,9 @@ __all__ = [
     "vectorize",
     "BellPoint",
     "CsiPoint",
-    "LeapfrogLine",
     "bell_quantifier",
     "csi_ratio",
-    "leapfrog_lines",
     "virtual_sample_point",
-    "CorrelationPoint",
     "SpectrumResult",
     "UndefinedCorrelationError",
     "find_local_maxima",

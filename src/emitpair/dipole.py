@@ -16,6 +16,7 @@ emission spectrum and the geometry of the joint two-photon emission lines.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -76,7 +77,11 @@ class EmitterPairConfig:
     force_independent: bool = False
 
     def __post_init__(self):
-        if self.atom_count not in (1, 2):
+        try:
+            atom_count = operator.index(self.atom_count)
+        except TypeError:
+            atom_count = None  # 2.0 is not a count
+        if atom_count not in (1, 2):
             raise ValueError("atom_count must be 1 or 2")
         _check_finite(self, ("kr12", "cos_theta12", "rabi"))
         if self.kr12 <= 0.0:

@@ -551,6 +551,7 @@ class SensorBlocks:
         self._model = atomic_model(config)
         self._sensors = tuple(sensors)
         self._blocks = {(0, 0): self._model.rho_ss.data}
+        self._masks = 1 << len(self._sensors)  # one bit per sensor
 
     def moment(self, a: int, b: int) -> complex:
         """``Tr rho_ab``: the leading-order moment ``<X_b^dag X_a>``, where
@@ -560,7 +561,10 @@ class SensorBlocks:
         return complex(np.trace(self.block(a, b)))
 
     def block(self, a: int, b: int) -> np.ndarray:
-        """The atomic block ``rho_ab`` (read-only, shared)."""
+        """The atomic block ``rho_ab`` (read-only, shared).  ``ValueError``
+        unless ``a`` and ``b`` lie in ``[0, 2**len(sensors))``."""
+        if not (0 <= a < self._masks and 0 <= b < self._masks):
+            raise ValueError(f"sensor bitmasks ({a}, {b}) must lie in [0, {self._masks})")
         if a < b:
             return self.block(b, a).conj().T
         found = self._blocks.get((a, b))
@@ -618,6 +622,8 @@ class Propagator:
         if np.any(taus < 0.0):
             raise ValueError("tau grid must be nonnegative")
         vec0 = np.asarray(vec0, dtype=np.complex128)
+        if vec0.shape != self._gen.shape[:1]:
+            raise ValueError("vec0 must be a vector of the generator's dimension")
         out = np.empty((taus.size, vec0.size), dtype=np.complex128)
         steps = {}  # delta -> exp(L delta), for this call only
         vec, prev = vec0, 0.0
@@ -635,8 +641,8 @@ class Propagator:
 
 def two_time_correlator(
     generator: np.ndarray, seed: np.ndarray, readout: np.ndarray, tau_grid
-):
-    """``Tr[readout exp(L tau)(seed)]`` on a nonnegative tau grid.
+) -> np.ndarray:
+    """``Tr[readout exp(L tau)(seed)]`` on a nonnegative tau grid, an array in grid order.
 
     With ``seed = C rho_ss A`` this is the steady-state correlator
     ``<A(t) B(t+tau) C(t)>`` of the quantum regression theorem, for
@@ -644,4 +650,4 @@ def two_time_correlator(
     """
     mats = Propagator(generator).propagate_vec(_vec(seed), tau_grid)
     # Tr[B X] = vec_C(B) . vec_F(X), one product for every delay
-    return (mats @ np.ravel(readout)).tolist()
+    return mats @ np.ravel(readout)

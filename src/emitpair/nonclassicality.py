@@ -1,8 +1,10 @@
 """Cauchy-Schwarz and Bell-type quantifiers of two-color photon correlations.
 
 Joint two-photon (leapfrog) emission through virtual intermediate levels is
-resonant whenever the *sum* of the two detected frequencies matches zero or
-one of the dressed-ladder gaps; those seven antidiagonals organise both maps.
+resonant whenever the *sum* of the two detected frequencies is ``0``,
+``+-d12``, ``+-d23`` or ``+-d13``: the seven single-photon lines of
+:func:`~emitpair.dipole.sideband_frequencies`, whose antidiagonals organise
+both maps.
 
 Same-frequency second-order moments of a two-level sensor vanish identically
 (its lowering operator squares to zero), so every auto- and cross-moment here
@@ -13,6 +15,7 @@ each frequency, from leading-order block solves on the cached atomic model.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,10 +30,8 @@ from .observables import UndefinedCorrelationError, _check_populations, sensor_g
 __all__ = [
     "CsiPoint",
     "BellPoint",
-    "LeapfrogLine",
     "csi_ratio",
     "bell_quantifier",
-    "leapfrog_lines",
     "virtual_sample_point",
 ]
 
@@ -60,14 +61,6 @@ class BellPoint:
     quantifier: float
 
 
-@dataclass(frozen=True)
-class LeapfrogLine:
-    """One antidiagonal omega1 + omega2 = sum_value of joint two-photon emission."""
-
-    sum_value: float
-    label: str
-
-
 def csi_ratio(
     config: EmitterPairConfig,
     omega1: float,
@@ -81,9 +74,9 @@ def csi_ratio(
     frequency; g12 is the plain cross-correlation.  Ratios above one cannot
     occur for classically correlated intensities.
     """
-    g11 = sensor_g2(config, omega1, omega1, sensor_linewidth, epsilon).g2
-    g22 = sensor_g2(config, omega2, omega2, sensor_linewidth, epsilon).g2
-    g12 = sensor_g2(config, omega1, omega2, sensor_linewidth, epsilon).g2
+    g11 = sensor_g2(config, omega1, omega1, sensor_linewidth, epsilon)
+    g22 = sensor_g2(config, omega2, omega2, sensor_linewidth, epsilon)
+    g12 = sensor_g2(config, omega1, omega2, sensor_linewidth, epsilon)
     if g11 <= 0.0 or g22 <= 0.0:
         raise UndefinedCorrelationError(
             f"vanishing autocorrelation (g11={g11:.3e}, g22={g22:.3e}) at "
@@ -143,15 +136,6 @@ def bell_quantifier(
     return BellPoint(b_terms=(b1111, b2222, b1221, b1122, b2211), quantifier=quantifier)
 
 
-def leapfrog_lines(triplet: DressedTriplet):
-    """The seven antidiagonals of joint two-photon emission, ascending."""
-    lines = [LeapfrogLine(sum_value=0.0, label="0")]
-    for name in ("d12", "d23", "d13"):
-        gap = getattr(triplet, name)
-        lines = [LeapfrogLine(-gap, f"-{name}"), *lines, LeapfrogLine(gap, f"+{name}")]
-    return sorted(lines, key=lambda line: line.sum_value)
-
-
 def virtual_sample_point(
     triplet: DressedTriplet,
     sum_value: float,
@@ -165,11 +149,18 @@ def virtual_sample_point(
     ``rank``-th pair whose two frequencies keep at least ``clearance`` from
     every single-photon line (and any extra ``avoid`` frequencies) and from
     each other.  Deterministic; increasing ``rank`` walks further out along
-    the antidiagonal.  A clearance that is not finite and positive, or a
-    negative rank, is refused with :class:`ValueError`.
+    the antidiagonal.  A ``sum_value`` that is not finite, a clearance that
+    is not finite and positive, or a rank that is not a nonnegative integer
+    is refused with :class:`ValueError`.
     """
+    if not np.isfinite(sum_value):
+        raise ValueError("sum_value must be finite")
     if not 0.0 < clearance < np.inf:  # NaN fails too
         raise ValueError("clearance must be finite and positive")
+    try:
+        rank = operator.index(rank)
+    except TypeError:
+        raise ValueError("rank must be an integer") from None
     if rank < 0:
         raise ValueError("rank must be nonnegative")
     lines = sideband_frequencies(triplet) + list(avoid)

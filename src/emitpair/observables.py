@@ -39,7 +39,6 @@ from .operators import embed, expectation, number_op, sigma_minus
 
 __all__ = [
     "SpectrumResult",
-    "CorrelationPoint",
     "UndefinedCorrelationError",
     "POPULATION_FLOOR",
     "g1",
@@ -83,14 +82,6 @@ class SpectrumResult:
     narrow_line: tuple | None = None
 
 
-@dataclass(frozen=True)
-class CorrelationPoint:
-    """Frequency-filtered photon-photon correlation at one delay."""
-
-    tau: float
-    g2: float
-
-
 def _emitting_model(config, output):
     """The emitter's cached atomic model; ``ValueError`` if it does not emit."""
     model = atomic_model(config)
@@ -99,14 +90,14 @@ def _emitting_model(config, output):
     return model
 
 
-def g1(config: EmitterPairConfig, tau_grid):
-    """Normalized first-order field correlation on a nonnegative tau grid."""
+def g1(config: EmitterPairConfig, tau_grid) -> np.ndarray:
+    """Normalized field correlation on a nonnegative tau grid, a complex array in grid order."""
     model = _emitting_model(config, "g1")
     emission = model.emission
     values = two_time_correlator(
         model.generator, model.rho_ss.data @ emission.conj().T, emission, tau_grid
     )
-    return [v / model.intensity for v in values]
+    return values / model.intensity
 
 
 def default_omega_grid(config: EmitterPairConfig, count=401):
@@ -214,15 +205,15 @@ def spectrum_sensor_scan(
     )
 
 
-def g2_unfiltered(config: EmitterPairConfig, tau_grid):
-    """Frequency-blind intensity correlation of the total field."""
+def g2_unfiltered(config: EmitterPairConfig, tau_grid) -> np.ndarray:
+    """Frequency-blind intensity correlation of the total field, a real array in grid order."""
     model = _emitting_model(config, "g2")
     emission = model.emission
     raising = emission.conj().T
     numerator = two_time_correlator(
         model.generator, emission @ model.rho_ss.data @ raising, raising @ emission, tau_grid
     )
-    return [float(np.real(v)) / model.intensity**2 for v in numerator]
+    return np.real(numerator) / model.intensity**2
 
 
 def _two_sensor_state(config, omega1, omega2, linewidth, epsilon):
@@ -262,19 +253,18 @@ def sensor_g2(
     omega2: float,
     sensor_linewidth: float = 1.0,
     epsilon: float = 1e-4,
-) -> CorrelationPoint:
+) -> float:
     """Zero-delay frequency-resolved photon-photon correlation.
 
     Two sensors are attached, one per frequency (both at the common frequency
     when ``omega1 == omega2``, which is what produces the indistinguishability
-    bunching of the diagonal), and a single steady state yields
+    bunching of the diagonal), and a single steady state yields the number
     ``<n1 n2> / (<n1><n2>)``.
     """
     _, rho, _, (num1, num2), (n1, n2) = _two_sensor_state(
         config, omega1, omega2, sensor_linewidth, epsilon
     )
-    value = float(np.real(expectation(num1 @ num2, rho.data))) / (n1 * n2)
-    return CorrelationPoint(tau=0.0, g2=value)
+    return float(np.real(expectation(num1 @ num2, rho.data))) / (n1 * n2)
 
 
 def sensor_g2_tau(
@@ -284,8 +274,8 @@ def sensor_g2_tau(
     sensor_linewidth: float,
     tau_grid,
     epsilon: float = 1e-4,
-):
-    """Time- and frequency-resolved correlation on a tau grid.
+) -> np.ndarray:
+    """Time- and frequency-resolved correlation on a tau grid, a real array in grid order.
 
     Positive delays are regression-theorem correlators
     ``<xi1+(t) n2(t+tau) xi1(t)> / (<n1><n2>)``; negative delays use the
@@ -296,7 +286,7 @@ def sensor_g2_tau(
     the seed enters as ``V^T vec(xi rho xi^dag)`` and the readout as
     ``V^T ravel(n)``, with ``V = assembly.isometry``.  A branch costs one
     ``expm`` per distinct step, a handful on the CLI's uniform tau axes.  The
-    grid may come in any order and the points follow it.
+    grid may come in any order and the values follow it.
     """
     taus = np.asarray(tau_grid, dtype=float)
     if taus.ndim != 1:  # checked here too: the branches index the grid
@@ -304,7 +294,7 @@ def sensor_g2_tau(
     if taus.size == 0:  # nothing to solve for, once the sensors are known to be valid
         for omega in (omega1, omega2):
             SensorSpec(float(omega), sensor_linewidth, epsilon)
-        return []
+        return np.empty(0)
     assembly, rho, (lower1, lower2), (num1, num2), (n1, n2) = _two_sensor_state(
         config, omega1, omega2, sensor_linewidth, epsilon
     )
@@ -319,9 +309,7 @@ def sensor_g2_tau(
             seed = first_lower @ rho.data @ first_lower.conj().T
             vecs = prop.propagate_vec(lift.T @ np.ravel(seed, order="F"), np.abs(taus[mask]))
             results[mask] = np.real(vecs @ (lift.T @ np.ravel(mid_op)))
-    results /= n1 * n2
-
-    return [CorrelationPoint(tau=float(t), g2=float(v)) for t, v in zip(taus, results)]
+    return results / (n1 * n2)
 
 
 def find_local_maxima(omega_grid, values):
@@ -332,6 +320,8 @@ def find_local_maxima(omega_grid, values):
         raise ValueError(
             "omega grid and values must be non-empty one-dimensional arrays of equal length"
         )
+    if not (np.all(np.isfinite(omega_grid)) and np.all(np.isfinite(values))):
+        raise ValueError("omega grid and values must be finite")  # a NaN poisons the floor
     floor = 1e-3 * float(np.max(values))
     peaks = []
     for i in range(1, values.size - 1):

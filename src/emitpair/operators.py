@@ -10,6 +10,7 @@ for the sparse steady-state solve; propagation takes a dense generator.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -46,14 +47,20 @@ class SparseComplexMatrix:
 @dataclass(frozen=True)
 class HilbertLayout:
     """Chain of ``atoms`` two-level atoms followed by ``sensors`` two-level
-    sensors."""
+    sensors; both counts are integers."""
 
     atoms: int
     sensors: int = 0
 
     def __post_init__(self):
-        if self.atoms < 1:
+        try:
+            atoms, sensors = operator.index(self.atoms), operator.index(self.sensors)
+        except TypeError:
+            raise ValueError("atom and sensor counts must be integers") from None
+        if atoms < 1:
             raise ValueError("need at least one atom")
+        if sensors < 0:
+            raise ValueError("sensor count must be nonnegative")
 
     @property
     def site_count(self):

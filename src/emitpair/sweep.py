@@ -93,7 +93,7 @@ def effective_workers(task, requested):
 # Point tasks: one steady solve per (omega1, omega2) grid point
 
 def _g2_values(emitter, w1, w2, linewidth, epsilon):
-    return (sensor_g2(emitter, w1, w2, linewidth, epsilon).g2,)
+    return (sensor_g2(emitter, w1, w2, linewidth, epsilon),)
 
 
 def _csi_values(emitter, w1, w2, linewidth, epsilon):
@@ -186,10 +186,10 @@ def _spectrum_rows(cfg: RunConfig):
 
 def _g2tau_rows(cfg: RunConfig):
     taus = np.linspace(*cfg.tau_axis)
-    points = sensor_g2_tau(
+    values = sensor_g2_tau(
         cfg.emitter, cfg.omega1, cfg.omega2, cfg.sensor_linewidth, taus, cfg.epsilon
     )
-    return ["tau", "g2"], [(p.tau, p.g2) for p in points], {}
+    return ["tau", "g2"], list(zip(taus.tolist(), values.tolist())), {}
 
 
 _TABLE_TASKS = {

@@ -242,3 +242,7 @@ def test_config_validation_errors():
         ep.EmitterPairConfig(kr12=0.1, rabi=-2.0)
     with pytest.raises(ValueError):
         ep.EmitterPairConfig(kr12=0.1, rabi=1.0, atom_count=3)
+    for count in (2.0, 1.5, "2", np.float64(1.0)):  # not integers
+        with pytest.raises(ValueError, match="atom_count must be 1 or 2"):
+            ep.EmitterPairConfig(kr12=0.1, rabi=1.0, atom_count=count)
+    assert len(ep.EmitterPairConfig(atom_count=np.int64(1)).atom_positions) == 1

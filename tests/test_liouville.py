@@ -540,6 +540,10 @@ def test_propagator_rejects_negative_taus_and_keeps_grid_order():
         for bad in (0.5, [[0.0, 1.0]], [[0.0], [1.0]]):
             with pytest.raises(ValueError, match="tau grid must be one-dimensional"):
                 prop.propagate_vec(seed, bad)
+        for bad_vec in (seed[:-1], np.append(seed, 0.0), seed.reshape(1, -1), seed[0]):
+            for taus in ([0.0], [], [0.5]):  # zero delay and no delay copy no row
+                with pytest.raises(ValueError, match="generator's dimension"):
+                    prop.propagate_vec(bad_vec, taus)
         taus = np.array([2.0, 0.0, 0.5, 3.0, 1.0, 0.5])
         order = np.argsort(taus)
         unsorted = prop.propagate_vec(seed, taus)
@@ -653,8 +657,8 @@ def test_two_sensor_blocks_match_the_sensor_engine(omega1, omega2, linewidth, sa
     blocks = SensorBlocks(cfg, [SensorSpec(omega1, linewidth), SensorSpec(omega2, linewidth)])
     g2 = (blocks.moment(3, 3) / (blocks.moment(1, 1) * blocks.moment(2, 2))).real
     oracle = (
-        4.0 * ep.sensor_g2(cfg, omega1, omega2, linewidth, epsilon=1e-3).g2
-        - ep.sensor_g2(cfg, omega1, omega2, linewidth, epsilon=2e-3).g2
+        4.0 * ep.sensor_g2(cfg, omega1, omega2, linewidth, epsilon=1e-3)
+        - ep.sensor_g2(cfg, omega1, omega2, linewidth, epsilon=2e-3)
     ) / 3.0
     assert g2 == pytest.approx(oracle, rel=1e-6)
 
@@ -762,6 +766,18 @@ def test_sensor_blocks_are_adjoint_pairs_and_memoised(pair_config):
     assert not upper.flags.writeable
     rho_ss = steady_state(build_assembly(pair_config, ()).superoperator)
     assert blocks.block(0, 0) == pytest.approx(rho_ss.data, abs=0.0)
+
+
+def test_sensor_blocks_refuse_a_mask_that_names_no_sensor(pair_config):
+    # with one sensor only the masks 0 and 1 exist; an unknown bit would
+    # give a zero source, a zero block and a residual check that passes
+    blocks = SensorBlocks(pair_config, [SensorSpec(10.0)])
+    for a, b in ((2, 0), (2, 2), (-1, 0), (0, 2), (1, -1)):
+        for method in (blocks.moment, blocks.block):
+            with pytest.raises(ValueError, match="bitmasks"):
+                method(a, b)
+    assert blocks.moment(1, 1).real > 0.0
+    assert blocks.block(1, 0).shape == (4, 4)
 
 
 def test_sensor_block_residual_check_raises(pair_config, monkeypatch):

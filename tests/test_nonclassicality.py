@@ -1,4 +1,4 @@
-"""Cauchy-Schwarz ratio, Bell quantifier and leapfrog-line geometry."""
+"""Cauchy-Schwarz ratio, Bell quantifier and sample points on the leapfrog lines."""
 
 import warnings
 from functools import reduce
@@ -8,54 +8,25 @@ import pytest
 
 import emitpair as ep
 from emitpair.liouville import SensorSpec, build_assembly, steady_state
-from emitpair.nonclassicality import (
-    bell_quantifier,
-    csi_ratio,
-    leapfrog_lines,
-    virtual_sample_point,
-)
+from emitpair.nonclassicality import bell_quantifier, csi_ratio, virtual_sample_point
 from emitpair.observables import UndefinedCorrelationError
 from emitpair.operators import embed, expectation, sigma_minus
 
 
-def test_leapfrog_lines_explicit_sums():
-    tri = ep.DressedTriplet(
-        energies=(25.0, 0.0, -35.0),
-        coefficients=(0.5, 0.5),
-    )
-    lines = leapfrog_lines(tri)
-    assert len(lines) == 7
-    assert [line.sum_value for line in lines] == [-60.0, -35.0, -25.0, 0.0, 25.0, 35.0, 60.0]
-    labels = {line.label: line.sum_value for line in lines}
-    assert labels == {
-        "-d13": -60.0, "-d23": -35.0, "-d12": -25.0, "0": 0.0,
-        "+d12": 25.0, "+d23": 35.0, "+d13": 60.0,
-    }
-
-
 def test_leapfrog_degenerate_limit():
+    # without the dipole couplings the seven antidiagonals collapse onto five
     cfg = ep.EmitterPairConfig(kr12=0.05, rabi=30.0)
     tri = ep.dressed_triplet(cfg, ep.DipoleCoefficients(delta12=0.0, gamma12=0.0))
-    lines = leapfrog_lines(tri)
-    assert [line.label for line in lines] == ["-d13", "-d23", "-d12", "0", "+d12", "+d23", "+d13"]
-    sums = sorted({round(line.sum_value, 9) for line in lines})
-    assert sums == [-60.0, -30.0, 0.0, 30.0, 60.0]
-
-
-def test_leapfrog_labels_round_trip(pair_triplet):
-    lines = leapfrog_lines(pair_triplet)
-    rebuilt = {
-        line.label: ep.LeapfrogLine(sum_value=line.sum_value, label=line.label)
-        for line in lines
-    }
-    assert [rebuilt[line.label] for line in lines] == list(lines)
+    sums = ep.sideband_frequencies(tri)
+    assert len(sums) == 7
+    assert sorted({round(line, 9) for line in sums}) == [-60.0, -30.0, 0.0, 30.0, 60.0]
 
 
 def test_virtual_sample_point_clearances(pair_triplet):
     lines = ep.sideband_frequencies(pair_triplet)
-    for line in leapfrog_lines(pair_triplet):
-        w1, w2 = virtual_sample_point(pair_triplet, line.sum_value, clearance=3.0)
-        assert w1 + w2 == pytest.approx(line.sum_value, abs=1e-9)
+    for line in lines:
+        w1, w2 = virtual_sample_point(pair_triplet, line, clearance=3.0)
+        assert w1 + w2 == pytest.approx(line, abs=1e-9)
         assert abs(w1 - w2) >= 3.0
         for omega in (w1, w2):
             assert min(abs(omega - ln) for ln in lines) >= 3.0
@@ -67,6 +38,15 @@ def test_virtual_sample_point_refuses_a_meaningless_clearance_or_rank(pair_tripl
             virtual_sample_point(pair_triplet, pair_triplet.d12, clearance=clearance)
     with pytest.raises(ValueError, match="rank must be nonnegative"):
         virtual_sample_point(pair_triplet, pair_triplet.d12, rank=-1)
+    for rank in (0.5, 1.0, "1"):
+        with pytest.raises(ValueError, match="rank must be an integer"):
+            virtual_sample_point(pair_triplet, pair_triplet.d12, rank=rank)
+    for sum_value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="sum_value must be finite"):
+            virtual_sample_point(pair_triplet, sum_value)
+    assert virtual_sample_point(pair_triplet, pair_triplet.d12, rank=np.int64(1)) == (
+        virtual_sample_point(pair_triplet, pair_triplet.d12, rank=1)
+    )
     w1, w2 = virtual_sample_point(pair_triplet, pair_triplet.d12, clearance=0.5)
     assert abs(w1 - w2) >= 0.5
 
@@ -76,7 +56,7 @@ def test_csi_point_fields_consistent(pair_config, pair_triplet):
     point = csi_ratio(pair_config, w1, w2, 1.0)
     assert point.ratio == pytest.approx(point.g12**2 / (point.g11 * point.g22))
     # same construction and code path as the plain filtered correlation
-    direct = ep.sensor_g2(pair_config, w1, w2, 1.0).g2
+    direct = ep.sensor_g2(pair_config, w1, w2, 1.0)
     assert point.g12 == pytest.approx(direct, abs=1e-8)
 
 
@@ -102,10 +82,9 @@ def test_no_violation_away_from_all_antidiagonals(pair_config, pair_triplet):
     # points more than 3 sensor linewidths from every joint-emission line and
     # from every single-photon resonance stay classical
     tri = pair_triplet
-    sums = [line.sum_value for line in leapfrog_lines(tri)]
-    freqs = ep.sideband_frequencies(tri)
+    freqs = ep.sideband_frequencies(tri)  # the antidiagonal sums too
     for w1, w2 in [(8.0, -40.0), (12.0, 5.0), (-8.0, 48.0), (30.0, 16.0)]:
-        assert min(abs(w1 + w2 - s) for s in sums) > 3.0
+        assert min(abs(w1 + w2 - s) for s in freqs) > 3.0
         assert min(abs(w - f) for w in (w1, w2) for f in freqs) > 3.0
         assert csi_ratio(pair_config, w1, w2, 1.0).ratio <= 1.05
 
@@ -154,7 +133,7 @@ def test_bell_cross_term_matches_filtered_correlation(
     tri = ep.dressed_triplet(
         pair_config_module, ep.dipole_coefficients(pair_config_module)
     )
-    direct = ep.sensor_g2(pair_config_module, tri.d12, -tri.d12, 1.0).g2
+    direct = ep.sensor_g2(pair_config_module, tri.d12, -tri.d12, 1.0)
     assert bell_opposite_d12.b_terms[2].real == pytest.approx(direct, rel=1e-6)
 
 

@@ -72,6 +72,22 @@ def test_g1_bounded_by_one(pair_config):
     assert np.all(np.abs(values) <= 1.0 + 1e-10)
 
 
+def test_field_correlations_are_arrays_in_grid_order(pair_config):
+    taus = [2.0, 0.0, 0.5]
+    model = liouville.atomic_model(pair_config)
+    raw = two_time_correlator(
+        model.generator, model.rho_ss.data @ model.emission.conj().T, model.emission, taus
+    )
+    assert isinstance(raw, np.ndarray) and raw.dtype == complex
+    np.testing.assert_array_equal(ep.g1(pair_config, taus), raw / model.intensity)
+    for output, dtype in ((ep.g1, complex), (ep.g2_unfiltered, float)):
+        values = output(pair_config, taus)
+        assert isinstance(values, np.ndarray) and values.dtype == dtype
+        assert values.shape == (3,)
+        for tau, value in zip(taus, values):  # each value sits at its delay's position
+            assert output(pair_config, [tau])[0] == pytest.approx(value, rel=1e-12)
+
+
 def test_g1_requires_drive():
     # one guard for every output of the atomic model's field
     cfg = ep.EmitterPairConfig(atom_count=1, rabi=0.0)
@@ -358,17 +374,15 @@ def test_g2_nonnegative(pair_config):
 def test_sensor_g2_exchange_symmetry(pair_config, pair_triplet):
     a = ep.sensor_g2(pair_config, pair_triplet.d12, -pair_triplet.d23, 1.0)
     b = ep.sensor_g2(pair_config, -pair_triplet.d23, pair_triplet.d12, 1.0)
-    assert abs(a.g2 - b.g2) < 1e-8
+    assert abs(a - b) < 1e-8
 
 
 def test_sensor_g2_opposite_sideband_bunching(pair_config, pair_triplet):
-    point = ep.sensor_g2(pair_config, pair_triplet.d12, -pair_triplet.d12, 1.0)
-    assert point.g2 > 1.0
+    assert ep.sensor_g2(pair_config, pair_triplet.d12, -pair_triplet.d12, 1.0) > 1.0
 
 
 def test_sensor_g2_sideband_carrier_antibunching(pair_config, pair_triplet):
-    point = ep.sensor_g2(pair_config, pair_triplet.d13, 0.0, 1.0)
-    assert point.g2 < 1.0
+    assert ep.sensor_g2(pair_config, pair_triplet.d13, 0.0, 1.0) < 1.0
 
 
 def test_sensor_g2_undefined_when_population_vanishes(pair_config):
@@ -381,8 +395,8 @@ def test_sensor_g2_tau_reversal_identity(pair_config, pair_triplet):
     w1, w2 = pair_triplet.d13, -pair_triplet.d23
     neg = ep.sensor_g2_tau(pair_config, w1, w2, 1.0, [-1.5, -0.5])
     pos = ep.sensor_g2_tau(pair_config, w2, w1, 1.0, [0.5, 1.5])
-    assert neg[0].g2 == pytest.approx(pos[1].g2, rel=1e-12)
-    assert neg[1].g2 == pytest.approx(pos[0].g2, rel=1e-12)
+    assert neg[0] == pytest.approx(pos[1], rel=1e-12)
+    assert neg[1] == pytest.approx(pos[0], rel=1e-12)
 
 
 def test_fig2c_trace_matches_its_richardson_limit():
@@ -397,10 +411,9 @@ def test_fig2c_trace_matches_its_richardson_limit():
     taus = np.linspace(*cfg.tau_axis)
 
     def trace(epsilon):
-        points = ep.sensor_g2_tau(
+        return ep.sensor_g2_tau(
             cfg.emitter, cfg.omega1, cfg.omega2, cfg.sensor_linewidth, taus, epsilon
         )
-        return np.array([p.g2 for p in points])
 
     limit = (4.0 * trace(1e-3) - trace(2e-3)) / 3.0
     for epsilon, bound in ((1e-4, 1e-8), (1e-5, 1e-10)):
@@ -422,7 +435,7 @@ def test_sensor_g2_tau_propagates_in_the_exchange_even_sector(
     tilted = ep.EmitterPairConfig(kr12=0.006, rabi=250.0, laser_direction=(1.0, 0.0, 1.0))
     for cfg, dim in ((asym_config, 160), (tilted, 256)):
         shapes.clear()
-        got = [p.g2 for p in ep.sensor_g2_tau(cfg, w1, w2, linewidth, taus)]
+        got = ep.sensor_g2_tau(cfg, w1, w2, linewidth, taus)
         assert set(shapes) == {(dim, dim)}
 
         assembly = build_assembly(cfg, (SensorSpec(w1, linewidth), SensorSpec(w2, linewidth)))
@@ -443,10 +456,14 @@ def test_sensor_g2_tau_propagates_in_the_exchange_even_sector(
 def test_sensor_g2_tau_grid_order_and_zero_consistency(pair_config, pair_triplet):
     w1, w2 = pair_triplet.d12, -pair_triplet.d12
     taus = [-2.0, 0.0, 1.0]
-    points = ep.sensor_g2_tau(pair_config, w1, w2, 1.0, taus)
-    assert [p.tau for p in points] == taus
-    zero_delay = ep.sensor_g2(pair_config, w1, w2, 1.0).g2
-    assert points[1].g2 == pytest.approx(zero_delay, rel=1e-10)
+    values = ep.sensor_g2_tau(pair_config, w1, w2, 1.0, taus)
+    assert isinstance(values, np.ndarray) and values.shape == (3,)
+    for tau, value in zip(taus, values):  # each value sits at its delay's position
+        alone = ep.sensor_g2_tau(pair_config, w1, w2, 1.0, [tau])
+        assert alone[0] == pytest.approx(value, rel=1e-12)
+    zero_delay = ep.sensor_g2(pair_config, w1, w2, 1.0)
+    assert type(zero_delay) is float
+    assert values[1] == pytest.approx(zero_delay, rel=1e-10)
     for bad in ([0.5, np.nan], [-np.inf, 1.0]):
         with pytest.raises(ValueError, match="finite"):
             ep.sensor_g2_tau(pair_config, w1, w2, 1.0, bad)
@@ -462,7 +479,7 @@ def test_sensor_g2_tau_on_an_empty_grid_solves_nothing(monkeypatch, pair_config)
         monkeypatch.setattr(
             observables, name, lambda *a, f=original, n=name: calls.append(n) or f(*a)
         )
-    assert ep.sensor_g2_tau(pair_config, 10.0, -10.0, 1.0, []) == []
+    assert ep.sensor_g2_tau(pair_config, 10.0, -10.0, 1.0, []).shape == (0,)
     assert calls == []
     for linewidth in (0.0, -1.0, np.nan):  # the sensors are still checked
         with pytest.raises(ValueError, match="linewidth"):
@@ -476,8 +493,8 @@ def test_sensor_g2_tau_on_an_empty_grid_solves_nothing(monkeypatch, pair_config)
 
 def test_sensor_g2_epsilon_independence(pair_config, pair_triplet):
     w1, w2 = pair_triplet.d12, -pair_triplet.d12
-    base = ep.sensor_g2(pair_config, w1, w2, 1.0, epsilon=1e-4).g2
-    doubled = ep.sensor_g2(pair_config, w1, w2, 1.0, epsilon=2e-4).g2
+    base = ep.sensor_g2(pair_config, w1, w2, 1.0, epsilon=1e-4)
+    doubled = ep.sensor_g2(pair_config, w1, w2, 1.0, epsilon=2e-4)
     assert abs(doubled - base) / base < 1e-3
 
 
@@ -502,4 +519,9 @@ def test_find_local_maxima_refuses_unusable_arrays():
     ):
         with pytest.raises(ValueError, match="non-empty one-dimensional arrays of equal length"):
             find_local_maxima(grid, values)
+    for bad in (np.nan, np.inf, -np.inf):  # a NaN floor would hide the peak at 2
+        for grid, values in (([0.0, 1.0, 2.0, 3.0], [bad, 0.0, 1.0, 0.0]),
+                             ([0.0, bad, 2.0, 3.0], [0.0, 0.5, 1.0, 0.0])):
+            with pytest.raises(ValueError, match="must be finite"):
+                find_local_maxima(grid, values)
     assert find_local_maxima([0.0, 1.0, 2.0], [1.0, 2.0, 1.0]) == [(1.0, 2.0)]

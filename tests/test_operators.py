@@ -54,6 +54,21 @@ def test_constructor_leaves_the_callers_matrix_as_it_was():
     np.testing.assert_array_equal(copied, [[1.0, 0.0], [0.0, 2.0]])
 
 
+def test_layout_refuses_counts_that_are_not_integers_or_negative():
+    for atoms, sensors, message in (
+        (2, -1, "sensor count must be nonnegative"),
+        (0, 0, "need at least one atom"),
+        (2, 1.5, "must be integers"),
+        (2.0, 0, "must be integers"),
+        ("2", 0, "must be integers"),
+        (2, np.float64(1.0), "must be integers"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            HilbertLayout(atoms, sensors)
+    layout = HilbertLayout(np.int64(2), np.int64(1))
+    assert layout.dimension == 8 and layout.sensor_sites == [2]
+
+
 def test_kron_lowers_first_site():
     # first factor is site 0: sigma_minus on site 0 maps |ee> to |ge>
     op = embed(sigma_minus(), 0, HilbertLayout(2))

@@ -173,7 +173,7 @@ def test_point_tasks_compute_on_the_configured_emitter(tmp_path):
         cfg, emitter=emitter, omega_axis=(25.0, 25.0, 1), omega2_axis=(-25.0, -25.0, 1)
     )
     table = run_sweep(cfg, timestamp=False)
-    assert table.rows[0][2] == ep.sensor_g2(emitter, 25.0, -25.0, 1.0).g2
+    assert table.rows[0][2] == ep.sensor_g2(emitter, 25.0, -25.0, 1.0)
 
 
 def test_csv_round_trip_zero_diff(tmp_path):
