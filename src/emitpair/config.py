@@ -133,13 +133,12 @@ def _frequency(token, triplet):
     """A number, or a signed dressed-gap name (d12/d23/d13)."""
     text = token.strip().lower()
     sign = -1.0 if text.startswith("-") else 1.0
-    if text.startswith(("+", "-")):
-        text = text[1:]
+    gap = text[1:] if text.startswith(("+", "-")) else text
     gaps = {"d12": triplet.d12, "d13": triplet.d13, "d23": triplet.d23}
-    if text in gaps:
-        return sign * gaps[text]
+    if gap in gaps:
+        return sign * gaps[gap]
     try:
-        return sign * _number(text)
+        return _number(text)
     except ValueError as exc:
         raise ValueError(f"{exc}, nor a signed d12/d13/d23") from None
 

@@ -149,9 +149,9 @@ def virtual_sample_point(
     ``rank``-th pair whose two frequencies keep at least ``clearance`` from
     every single-photon line (and any extra ``avoid`` frequencies) and from
     each other.  Deterministic; increasing ``rank`` walks further out along
-    the antidiagonal.  A ``sum_value`` that is not finite, a clearance that
-    is not finite and positive, or a rank that is not a nonnegative integer
-    is refused with :class:`ValueError`.
+    the antidiagonal.  A ``sum_value`` or ``avoid`` entry that is not
+    finite, a clearance that is not finite and positive, or a rank that is
+    not a nonnegative integer is refused with :class:`ValueError`.
     """
     if not np.isfinite(sum_value):
         raise ValueError("sum_value must be finite")
@@ -163,7 +163,10 @@ def virtual_sample_point(
         raise ValueError("rank must be an integer") from None
     if rank < 0:
         raise ValueError("rank must be nonnegative")
-    lines = sideband_frequencies(triplet) + list(avoid)
+    avoid = list(avoid)
+    if not np.all(np.isfinite(avoid)):  # NaN would make every candidate unclear
+        raise ValueError("avoid frequencies must be finite")
+    lines = sideband_frequencies(triplet) + avoid
 
     def clear(omega):
         return all(abs(omega - line) >= clearance for line in lines)

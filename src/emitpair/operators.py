@@ -111,6 +111,10 @@ def embed(local, site, layout: HilbertLayout) -> np.ndarray:
     local = np.asarray(local, dtype=np.complex128)
     if local.shape != (2, 2):
         raise ValueError("local operator must be 2x2")
+    try:
+        site = operator.index(site)
+    except TypeError:
+        raise ValueError(f"site must be an integer, not {site!r}") from None
     if not 0 <= site < layout.site_count:
         raise ValueError(
             f"site {site} out of range for layout with {layout.site_count} sites"

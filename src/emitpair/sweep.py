@@ -10,9 +10,12 @@ sweep resumes without recomputation.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import hashlib
 import json
 import math
+import operator
 import os
 import time
 from dataclasses import dataclass, field
@@ -78,7 +81,14 @@ def effective_workers(task, requested):
     4096-dim four-sensor solves (about 280 MB each); it stays because a Bell
     point costs about 2.2 ms on the cached atomic model and a 2-worker pool
     about 16 ms to start (2 cores): a short Bell line runs faster serially.
+    A negative or non-integer request raises ``ValueError``.
     """
+    try:
+        requested = operator.index(requested)
+    except TypeError:
+        raise ValueError(f"worker count must be an integer, not {requested!r}") from None
+    if requested < 0:
+        raise ValueError(f"worker count must be nonnegative, not {requested}")
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
@@ -107,7 +117,10 @@ def _bell_values(emitter, w1, w2, linewidth, epsilon):
     return point.quantifier, b1111.real, b2222.real, b1221.real, b1122.real, b1122.imag
 
 
-# task -> (value columns between omega1, omega2 and status; kernel)
+# task -> (value columns between omega1, omega2 and status; kernel).  Each
+# adapter calls the library through this module's own name for it, so that a
+# tracer rebinding that name sees every call; a library function stored here
+# directly would escape it.
 _POINT_TASKS = {
     "g2map": (["g2"], _g2_values),
     "csi": (["ratio", "g11", "g22", "g12"], _csi_values),
@@ -115,12 +128,15 @@ _POINT_TASKS = {
 }
 
 
-def _eval_point(payload):
-    """Evaluate one grid point; returns (index, row_values, status).
+def _eval_point(task, emitter, linewidth, epsilon, point):
+    """Evaluate ``point = (index, (w1, w2))``; returns (index, row_values, status).
 
-    A failed point keeps its frequencies and fills its value columns with NaN.
+    The run's task, emitter, linewidth and epsilon come first, so a sweep binds
+    them once with :func:`functools.partial` and sends each point only its
+    index and frequencies.  A failed point keeps its frequencies and fills its
+    value columns with NaN.
     """
-    index, task, emitter, linewidth, epsilon, (w1, w2) = payload
+    index, (w1, w2) = point
     value_columns, kernel = _POINT_TASKS[task]
     try:
         return index, (w1, w2) + kernel(emitter, w1, w2, linewidth, epsilon), STATUS_OK
@@ -280,12 +296,14 @@ def run_sweep(
     """Execute a run configuration and return its result table.
 
     Grid tasks are dispatched to ``workers`` processes (default from the
-    config; 0 means one per CPU) with rows emitted in grid order.  Completed
-    points are checkpointed to ``<cfg.output_path>.ckpt`` every
-    ``CHECKPOINT_EVERY`` results; pass ``resume_from`` to continue an
-    interrupted sweep.  A keyboard interrupt writes the checkpoint and raises
-    :class:`SweepInterrupted`.  Table tasks keep no checkpoint, so
-    ``resume_from`` raises ``ValueError`` for them.
+    config; 0 means one per CPU) with rows emitted in grid order.  One worker,
+    or one point left to compute, runs in this process instead; either way
+    the results pass through the same loop, which checkpoints the completed
+    points to ``<cfg.output_path>.ckpt`` every ``CHECKPOINT_EVERY`` results.
+    Pass ``resume_from`` to continue an interrupted sweep.  A keyboard
+    interrupt writes the checkpoint and raises :class:`SweepInterrupted`.
+    Table tasks keep no checkpoint, so ``resume_from`` raises ``ValueError``
+    for them.
     """
     start = time.monotonic()
     header = _base_header(cfg, timestamp)
@@ -305,35 +323,23 @@ def run_sweep(
         done = _load_checkpoint(resume_from, fingerprint)
     ckpt = cfg.output_path + ".ckpt"
 
-    pending = [
-        (i, cfg.task, cfg.emitter, cfg.sensor_linewidth, cfg.epsilon, pair)
-        for i, pair in enumerate(pairs)
-        if i not in done
-    ]
+    pending = [(i, pair) for i, pair in enumerate(pairs) if i not in done]
+    evaluate = functools.partial(
+        _eval_point, cfg.task, cfg.emitter, cfg.sensor_linewidth, cfg.epsilon
+    )
     n_workers = effective_workers(cfg.task, cfg.workers if workers is None else workers)
-
-    since_checkpoint = 0
-
-    def _record(index, row, status):
-        nonlocal since_checkpoint
-        done[index] = (row, status)
-        since_checkpoint += 1
-        if since_checkpoint >= CHECKPOINT_EVERY:
-            _write_checkpoint(ckpt, fingerprint, done)
-            since_checkpoint = 0
+    pooled = n_workers > 1 and len(pending) > 1
+    chunk = max(1, len(pending) // (n_workers * 8))
+    results = map(evaluate, pending)  # lazy: a serial run computes in the loop
 
     try:
-        if n_workers == 1 or len(pending) <= 1:
-            for payload in pending:
-                index, row, status = _eval_point(payload)
-                _record(index, row, status)
-        else:
-            chunk = max(1, len(pending) // (n_workers * 8))
-            with Pool(processes=n_workers) as pool:
-                for index, row, status in pool.imap_unordered(
-                    _eval_point, pending, chunksize=chunk
-                ):
-                    _record(index, row, status)
+        with Pool(n_workers) if pooled else contextlib.nullcontext() as pool:
+            if pooled:
+                results = pool.imap_unordered(evaluate, pending, chunk)
+            for count, (index, row, status) in enumerate(results, 1):
+                done[index] = (row, status)
+                if count % CHECKPOINT_EVERY == 0:
+                    _write_checkpoint(ckpt, fingerprint, done)
     except KeyboardInterrupt:
         _write_checkpoint(ckpt, fingerprint, done)
         raise SweepInterrupted("sweep interrupted; checkpoint written", ckpt)
@@ -387,6 +393,8 @@ def write_result(table: ResultTable, path, fmt="csv"):
 
 
 def _parse_cell(text):
+    if text in ("True", "False"):  # a header echoes booleans as written
+        return text == "True"
     try:
         return int(text)
     except ValueError:

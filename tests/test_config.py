@@ -87,6 +87,10 @@ def test_numeric_frequency_accepted():
 def test_bad_frequency_token():
     with pytest.raises(ConfigError, match=r"task\.omega1"):
         load_config("[task]\nkind = g2tau\nomega1 = d14\nomega2 = 0\n")
+    # a sign is stripped only in front of a gap name, so a number keeps both
+    for token in ("--5", "+-5", "-+5", "--d23"):
+        with pytest.raises(ConfigError, match=r"task\.omega1"):
+            load_config(f"[task]\nkind = g2tau\nomega1 = {token}\nomega2 = 0\n")
 
 
 def test_g2tau_requires_frequencies():

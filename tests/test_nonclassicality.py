@@ -44,6 +44,9 @@ def test_virtual_sample_point_refuses_a_meaningless_clearance_or_rank(pair_tripl
     for sum_value in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="sum_value must be finite"):
             virtual_sample_point(pair_triplet, sum_value)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="avoid frequencies must be finite"):
+            virtual_sample_point(pair_triplet, pair_triplet.d12, avoid=[0.0, bad])
     assert virtual_sample_point(pair_triplet, pair_triplet.d12, rank=np.int64(1)) == (
         virtual_sample_point(pair_triplet, pair_triplet.d12, rank=1)
     )

@@ -128,6 +128,11 @@ def test_embed_site_out_of_range():
     layout = HilbertLayout(2)
     with pytest.raises(ValueError, match="out of range"):
         embed(sigma_minus(), 2, layout)
+    # a fractional site matches no factor, so it would embed the identity
+    for site in (0.5, 1.0, np.float64(0.0), "0"):
+        with pytest.raises(ValueError, match="site must be an integer"):
+            embed(sigma_minus(), site, HilbertLayout(2, 1))
+    assert embed(sigma_minus(), np.int64(1), layout) is embed(sigma_minus(), 1, layout)
 
 
 def test_embed_rejects_non_two_level():

@@ -182,6 +182,8 @@ def test_csv_round_trip_zero_diff(tmp_path):
     path = tmp_path / "map.csv"
     write_result(table, path, "csv")
     reloaded = read_result(path)
+    assert reloaded.header == table.header
+    assert reloaded.header["emitter.force_independent"] is False
     assert reloaded.columns == table.columns
     assert reloaded.rows == table.rows
     second = tmp_path / "map2.csv"
@@ -197,6 +199,7 @@ def test_json_round_trip(tmp_path):
     payload = json.loads(path.read_text())
     assert payload["format"] == "emitpair-result"
     reloaded = read_result(path)
+    assert reloaded.header == table.header
     assert reloaded.columns == table.columns
     assert reloaded.rows == table.rows
 
@@ -224,6 +227,23 @@ def test_parallel_matches_serial(tmp_path):
     serial = run_sweep(cfg, workers=1, timestamp=False)
     parallel = run_sweep(cfg, workers=2, timestamp=False)
     assert serial.rows == parallel.rows
+
+
+def test_pooled_and_serial_sweeps_checkpoint_alike(monkeypatch, tmp_path):
+    monkeypatch.setattr(sweep, "CHECKPOINT_EVERY", 2)
+    written = []
+    write = sweep._write_checkpoint
+    monkeypatch.setattr(
+        sweep, "_write_checkpoint", lambda *args: written.append(1) or write(*args)
+    )
+    cfg = _load_at(SMALL_MAP, tmp_path / "map.csv")
+    tables = []
+    for workers in (1, 2):
+        written.clear()
+        tables.append(run_sweep(cfg, workers=workers, timestamp=False))
+        assert len(written) == 4  # after results 2, 4, 6 and 8 of the 9
+    assert tables[0].rows == tables[1].rows
+    assert not (tmp_path / "map.csv.ckpt").exists()
 
 
 def _interrupt_on_call(monkeypatch, n, task="g2map"):
@@ -363,6 +383,18 @@ def test_effective_workers_bell_cap():
     assert effective_workers("g2map", 0) == cores
     assert effective_workers("bell", 0) <= max(1, cores // 2)
     assert effective_workers("g2map", 3) == 3
+
+
+def test_effective_workers_refuses_a_negative_or_fractional_count():
+    for requested in (-1, -3):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            effective_workers("g2map", requested)
+    for requested in (1.5, 2.0, "2", None):
+        with pytest.raises(ValueError, match="must be an integer"):
+            effective_workers("g2map", requested)
+    assert effective_workers("g2map", np.int64(3)) == 3
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        run_sweep(load_config(SMALL_MAP), workers=-3, timestamp=False)
 
 
 def test_effective_workers_follow_cpu_affinity(monkeypatch):
